@@ -416,7 +416,7 @@ def cmd_compare(config: RunConfig) -> tuple[int, str]:
 def cmd_validate(config: RunConfig) -> tuple[int, str]:
     params = config.parameters
     grid = oracle.GridSpec(
-        interior_points=config.grid_n, richardson_levels=2, level_count=config.levels
+        interior_points=config.grid_n, richardson_levels=3, level_count=config.levels
     )
     numeric = oracle.solve_eigenvalues(params, grid)
     all_ok = True

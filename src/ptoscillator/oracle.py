@@ -8,13 +8,19 @@ every sampled potential value is finite and the divergence of tan^2
 near the walls enforces decay on its own; no capping is applied.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the leading
-h^2 (and h^4) error terms.  Level pressures are verified independently
-through central differences of the energy in the half-width.
+h^2 (and h^4) error terms.  Level pressures come from the Hellmann-Feynman
+identity on each grid: in the scaled coordinate x = L u the matrix is
+K / L^2 + V(u) with V(u) independent of L, so the discrete level obeys
+
+    -dE_h/dL = (2 / L) (E_h - sum_i V_i psi_i^2)
+
+exactly for its normalized eigenvector psi.  These per-grid pressures are
+extrapolated with the same weights as the eigenvalues; no step in L is
+taken.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,6 +74,11 @@ class GridSpec:
             raise InvalidParameterError(
                 f"level_count must be >= 1, got {self.level_count!r}"
             )
+        finest = self.grid_sequence()[-1]
+        if finest > MAX_GRID_POINTS:
+            raise ResourceLimitError(
+                f"finest grid {finest} exceeds the configured maximum {MAX_GRID_POINTS}"
+            )
 
     def grid_sequence(self) -> tuple[int, ...]:
         """Interior point counts of the refinement sequence, coarse first."""
@@ -91,7 +102,12 @@ class NumericalSpectrum:
     grid: GridSpec
 
 
-def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> np.ndarray:
+def _fd_hamiltonian(
+    params: PTParameters, n_points: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Potential at the interior nodes, diagonal and off-diagonal of the
+    finite-difference Hamiltonian on ``n_points`` nodes, checked to hold
+    ``count`` levels."""
     if count > n_points:
         raise InvalidParameterError(
             f"cannot request {count} eigenvalues from a grid of {n_points} points"
@@ -99,8 +115,14 @@ def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> n
     spacing = 2.0 * params.half_width / (n_points + 1)
     nodes = -params.half_width + spacing * np.arange(1, n_points + 1)
     kinetic = params.hbar**2 / (2.0 * params.mass * spacing**2)
-    diagonal = 2.0 * kinetic + potential(params, nodes)
+    values = potential(params, nodes)
+    diagonal = 2.0 * kinetic + values
     off_diagonal = np.full(n_points - 1, -kinetic)
+    return values, diagonal, off_diagonal
+
+
+def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> np.ndarray:
+    _, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, count)
     try:
         return eigh_tridiagonal(
             diagonal, off_diagonal, select="i", select_range=(0, count - 1), eigvals_only=True
@@ -109,33 +131,45 @@ def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> n
         raise ConvergenceError(f"tridiagonal eigenvalue iteration failed: {exc}") from exc
 
 
-def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum:
-    """Lowest eigenvalues of the discretized Hamiltonian, extrapolated.
-
-    Raises :class:`ResourceLimitError` if any grid in the refinement
-    sequence exceeds ``MAX_GRID_POINTS``.
-    """
-    sizes = grid.grid_sequence()
-    if sizes[-1] > MAX_GRID_POINTS:
-        raise ResourceLimitError(
-            f"finest grid {sizes[-1]} exceeds the configured maximum {MAX_GRID_POINTS}"
+def _fd_pressure(params: PTParameters, n_points: int, n: int) -> float:
+    """Exact -dE_h/dL of level ``n`` on one grid, from its eigenvector."""
+    values, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, n)
+    try:
+        energy, vector = eigh_tridiagonal(
+            diagonal, off_diagonal, select="i", select_range=(n - 1, n - 1)
         )
-    columns = [_fd_lowest_eigenvalues(params, size, grid.level_count) for size in sizes]
+    except LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigenvector iteration failed: {exc}") from exc
+    kinetic_energy = energy[0] - values @ vector[:, 0] ** 2
+    return 2.0 * kinetic_energy / params.half_width
+
+
+def _richardson(columns: list) -> tuple:
+    """Extrapolate values from grids whose spacing halves at each step.
+
+    Returns the extrapolated value and the magnitude of the last
+    correction, or NaN when there is a single grid.
+    """
     if len(columns) == 1:
-        eigenvalues = columns[0]
-        estimates = np.full(grid.level_count, np.nan)
-    else:
-        order = 2
-        while len(columns) > 1:
-            weight = 2.0**order
-            previous = columns
-            columns = [
-                (weight * columns[i + 1] - columns[i]) / (weight - 1.0)
-                for i in range(len(columns) - 1)
-            ]
-            order += 2
-        eigenvalues = columns[0]
-        estimates = np.abs(eigenvalues - previous[-1])
+        return columns[0], np.full_like(columns[0], np.nan)
+    order = 2
+    while len(columns) > 1:
+        weight = 2.0**order
+        previous = columns
+        columns = [
+            (weight * columns[i + 1] - columns[i]) / (weight - 1.0)
+            for i in range(len(columns) - 1)
+        ]
+        order += 2
+    return columns[0], np.abs(columns[0] - previous[-1])
+
+
+def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum:
+    """Lowest eigenvalues of the discretized Hamiltonian, extrapolated."""
+    columns = [
+        _fd_lowest_eigenvalues(params, size, grid.level_count) for size in grid.grid_sequence()
+    ]
+    eigenvalues, estimates = _richardson(columns)
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
             "extrapolated eigenvalues are not strictly increasing and positive; "
@@ -151,12 +185,16 @@ def numerical_pressure(
     use_eigenvalues: bool = False,
     grid: GridSpec | None = None,
 ) -> float:
-    """Level pressure as -dE_n/dL by central differences in L.
+    """Level pressure -dE_n/dL, computed apart from the closed-form pressure.
 
-    The quotient is evaluated at steps delta and delta/2 and Richardson
-    extrapolated.  By default the closed-form energy is differenced;
-    with ``use_eigenvalues`` the finite-difference eigenvalue is used
-    instead, making the check fully independent of the closed forms.
+    By default the closed-form energy is differenced centrally in L at
+    relative steps ``relative_step`` and half of it, and the two
+    quotients are Richardson extrapolated; the step is used by this
+    branch only.  With ``use_eigenvalues`` the pressure is the
+    Hellmann-Feynman value of the finite-difference level on each grid
+    of ``grid`` (default ``GridSpec(4000, 2, level_count=n)``),
+    extrapolated like the eigenvalues, which makes the check fully
+    independent of the closed forms.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InvalidParameterError(f"quantum number must be an integer >= 1, got {n!r}")
@@ -170,21 +208,14 @@ def numerical_pressure(
             raise InvalidParameterError(
                 f"grid.level_count={solve_grid.level_count} is below the requested level {n}"
             )
-
-        def level_energy(half_width: float) -> float:
-            shifted = replace(params, half_width=half_width)
-            return float(solve_eigenvalues(shifted, solve_grid).eigenvalues[n - 1])
-
-    else:
-
-        def level_energy(half_width: float) -> float:
-            return energy_level(replace(params, half_width=half_width), n).total
+        columns = [_fd_pressure(params, size, n) for size in solve_grid.grid_sequence()]
+        return float(_richardson(columns)[0])
 
     length = params.half_width
 
     def quotient(delta: float) -> float:
-        upper = level_energy(length * (1.0 + delta))
-        lower = level_energy(length * (1.0 - delta))
+        upper = energy_level(replace(params, half_width=length * (1.0 + delta)), n).total
+        lower = energy_level(replace(params, half_width=length * (1.0 - delta)), n).total
         return -(upper - lower) / (2.0 * length * delta)
 
     coarse = quotient(relative_step)

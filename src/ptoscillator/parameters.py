@@ -93,10 +93,21 @@ def derive_scales(params: PTParameters) -> DerivedScales:
     catastrophic cancellation the literal form suffers when V0 / T is
     tiny (deep box regime).  psi is stored as the stable product form
     lambda (lambda + 2) / (lambda + 1).
+
+    Raises :class:`DomainError` when T or 4 V0 / T leaves the finite
+    positive floating-point range, instead of returning non-finite
+    scales.
     """
     alpha = math.pi / (2.0 * params.half_width)
-    kinetic = params.hbar**2 * alpha**2 / (2.0 * params.mass)
+    kinetic = (params.hbar * params.hbar) * (alpha * alpha) / (2.0 * params.mass)
+    if not 0.0 < kinetic < math.inf:
+        raise DomainError(
+            f"kinetic scale T = hbar^2 alpha^2 / (2 m) = {kinetic!r} is outside the "
+            "finite positive floating-point range"
+        )
     ratio = 4.0 * params.well_depth / kinetic
+    if not math.isfinite(ratio):
+        raise DomainError(f"4 V0 / T overflows the floating-point range (T = {kinetic!r})")
     if params.well_depth > 0.0:
         zeta_squared = kinetic / (math.pi**2 * params.well_depth)
         lam = ratio / (1.0 + math.sqrt(1.0 + ratio))

@@ -166,6 +166,30 @@ class TestSweep:
         assert code == 3
 
 
+class TestFloatRangeGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--half-width", "1e200"],
+            ["spectrum", "--half-width", "1e-200"],
+            ["spectrum", "--half-width", "1", "--well-depth", "1e308"],
+            ["sweep", "--sweep-var", "half-width", "--from", "1e200", "--to", "2e200",
+             "--steps", "3"],
+            ["sweep", "--sweep-var", "half-width", "--from", "1e-200", "--to", "2e-200",
+             "--steps", "3"],
+            ["sweep", "--well-depth", "1e308", "--sweep-var", "half-width", "--from", "1",
+             "--to", "2", "--steps", "3"],
+        ],
+    )
+    def test_overflowing_scales_are_domain_errors(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert "nan" not in captured.out.lower()
+
+
 class TestCompare:
     def test_semiclassical_errors_decrease(self, capsys):
         code, out = run_cli(
@@ -225,6 +249,12 @@ class TestValidate:
     def test_box_passes(self, capsys):
         code, _ = run_cli(
             capsys, ["validate", "--well-depth", "0", "--half-width", "1", "--levels", "3"]
+        )
+        assert code == 0
+
+    def test_near_box_passes(self, capsys):
+        code, _ = run_cli(
+            capsys, ["validate", "--well-depth", "0.005", "--half-width", "1.5707963267948966"]
         )
         assert code == 0
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ class TestGridSpec:
     def test_invariants(self, kwargs):
         with pytest.raises(InvalidParameterError):
             GridSpec(**kwargs)
+
+    def test_finest_grid_beyond_resource_limit(self):
+        # 65536 -> 131073 -> 262147, three points past MAX_GRID_POINTS.
+        with pytest.raises(ResourceLimitError):
+            GridSpec(65536, richardson_levels=3)
+        assert GridSpec(65535, richardson_levels=3).grid_sequence()[-1] == 262_143
 
 
 class TestSolveEigenvalues:
@@ -113,6 +120,35 @@ class TestNumericalPressure:
             params, 1, use_eigenvalues=True, grid=GridSpec(1000, richardson_levels=2, level_count=1)
         )
         assert numeric == pytest.approx(pressure_level(params, 1).total, rel=1e-5)
+
+    @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
+    def test_eigenvalue_mode_is_grid_derivative(self, request, well):
+        # Without Richardson the eigenvalue-mode pressure is exactly -dE_h/dL
+        # of the level on the N = 1000 grid, so it must match central
+        # differences in L of that same raw eigenvalue (steps 1e-2 and 5e-3,
+        # extrapolated); the measured worst gap is 3.4e-8 (wide well), the
+        # rounding noise of the differenced eigenvalues.
+        params = request.getfixturevalue(well)
+        length = params.half_width
+        for n in range(1, 6):
+            grid = GridSpec(1000, richardson_levels=1, level_count=n)
+
+            def quotient(delta: float) -> float:
+                upper = solve_eigenvalues(replace(params, half_width=length * (1 + delta)), grid)
+                lower = solve_eigenvalues(replace(params, half_width=length * (1 - delta)), grid)
+                return -(upper.eigenvalues[n - 1] - lower.eigenvalues[n - 1]) / (2 * length * delta)
+
+            differenced = (4.0 * quotient(5e-3) - quotient(1e-2)) / 3.0
+            numeric = numerical_pressure(params, n, use_eigenvalues=True, grid=grid)
+            assert numeric == pytest.approx(differenced, rel=2e-7)
+
+    @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_eigenvalue_mode_accuracy(self, request, well, n):
+        # Default grid; the measured worst relative error is 2.4e-7.
+        params = request.getfixturevalue(well)
+        numeric = numerical_pressure(params, n, use_eigenvalues=True)
+        assert numeric == pytest.approx(pressure_level(params, n).total, rel=1e-6)
 
     @pytest.mark.parametrize("step", [1e-8, 0.5, 0.0])
     def test_step_bounds(self, unit_well, step):

@@ -145,6 +145,21 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             PTParameters(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(half_width=1e200),  # alpha^2 underflows, T = 0
+            dict(half_width=1e-200),  # alpha^2 overflows, T = inf
+            dict(half_width=1.0, well_depth=1e308),  # 4 V0 / T overflows
+            dict(half_width=1.0, hbar=1e200),
+            dict(half_width=1.0, mass=1e308),
+        ],
+    )
+    def test_scales_out_of_float_range_rejected(self, kwargs):
+        params = PTParameters(**{"mass": 1.0, "well_depth": 0.375, **kwargs})
+        with pytest.raises(DomainError):
+            derive_scales(params)
+
 
 class TestPotential:
     def test_vanishes_at_origin(self, unit_well):
