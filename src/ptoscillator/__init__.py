@@ -29,13 +29,7 @@ from .oracle import (
     solve_eigenvalues,
 )
 from .parameters import DerivedScales, PTParameters, derive_scales, potential
-from .perturbation import (
-    PerturbedEnergy,
-    PotentialSeries,
-    perturbed_energy,
-    potential_series,
-    potential_series_eval,
-)
+from .perturbation import PerturbedEnergy, perturbed_energy, potential_series_eval
 from .semiclassical import (
     ActionEvaluation,
     action,
@@ -99,9 +93,7 @@ __all__ = [
     "action",
     "qc_energy_closed",
     "qc_energy_numeric",
-    "PotentialSeries",
     "PerturbedEnergy",
-    "potential_series",
     "potential_series_eval",
     "perturbed_energy",
     "GridSpec",

@@ -1,8 +1,17 @@
 """Command-line front end: spectrum tables, parameter sweeps,
 approximation comparisons and oracle validation runs.
 
-Exit status: 0 success, 2 usage error, 3 domain or precondition error,
-4 validation tolerance breach.
+Each subcommand returns ``(status, meta, columns, rows)``; one writer
+renders that as CSV (a header of the column names, one line per row)
+or as canonical JSON (``meta`` plus ``rows``, one object per row).  A
+``--config`` file is turned into ``--key=value`` tokens and parsed by
+the same subparser as the flags, so its values are checked exactly like
+flags; keys that only other subcommands take are ignored, and flags
+given on the command line win.
+
+Exit status: 0 success, 2 usage error (including an unwritable
+``--output``), 3 domain or precondition error, 4 validation tolerance
+breach.
 """
 
 from __future__ import annotations
@@ -11,13 +20,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import limits, oracle, perturbation, semiclassical, spectra
-from .errors import InvalidParameterError, PTOscillatorError
+from .errors import InvalidParameterError, PTOscillatorError, ResourceLimitError
 from .parameters import PTParameters, derive_scales
 
 __all__ = ["RunConfig", "main"]
@@ -27,10 +36,12 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_TOLERANCE = 4
 
-_SPECTRUM_HEADER = "n,E_fp,E_ho,E_total,P_fp,P_ho,P_total,eta,regime"
-_SWEEP_HEADER = "param_value,lambda,hbar_omega,E_n,P_n,s_eff,n_cr"
-_COMPARE_HEADER = "n,E_exact,E_approx,abs_err,rel_err"
-_VALIDATE_HEADER = "n,E_closed,E_numeric,rel_err_energy,P_closed,P_numeric,rel_err_pressure"
+_SPECTRUM_COLUMNS = ("n", "E_fp", "E_ho", "E_total", "P_fp", "P_ho", "P_total", "eta", "regime")
+_SWEEP_COLUMNS = ("param_value", "lambda", "hbar_omega", "E_n", "P_n", "s_eff", "n_cr")
+_COMPARE_COLUMNS = ("n", "E_exact", "E_approx", "abs_err", "rel_err")
+_VALIDATE_COLUMNS = (
+    "n", "E_closed", "E_numeric", "rel_err_energy", "P_closed", "P_numeric", "rel_err_pressure"
+)
 
 _PRESSURE_TOLERANCE = 1e-8
 _PRESSURE_STEP = 1e-4
@@ -86,53 +97,49 @@ def _json_canonical(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _csv_text(header: str, rows: list[list]) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(document) -> str:
     return _json_canonical(document) + "\n"
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return _fmt(value)
+
+
+def _render(fmt: str, meta: dict, columns: tuple[str, ...], rows: list) -> str:
+    """The one writer: CSV or canonical JSON of a subcommand's table."""
+    if fmt == "json":
+        return _json_text({**meta, "rows": [dict(zip(columns, row)) for row in rows]})
+    lines = [",".join(columns)]
+    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # option plumbing
 
 
-_FLOAT_KEYS = {"mass", "well-depth", "half-width", "hbar", "from", "to", "tolerance"}
-_INT_KEYS = {"n-max", "steps", "grid-n", "levels"}
-_STR_KEYS = {"format", "output", "sweep-var", "method"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-
-_KEY_TO_DEST = {
-    "mass": "mass",
-    "well-depth": "well_depth",
-    "half-width": "half_width",
-    "hbar": "hbar",
-    "n-max": "n_max",
-    "format": "fmt",
-    "output": "output",
-    "sweep-var": "sweep_var",
-    "from": "sweep_from",
-    "to": "sweep_to",
-    "steps": "steps",
-    "method": "method",
-    "grid-n": "grid_n",
-    "levels": "levels",
-    "tolerance": "tolerance",
+# Every option name a config file may use; a key outside this set is a
+# usage error, a key that only other subcommands take is ignored.
+_CONFIG_KEYS = {
+    "mass", "well-depth", "half-width", "hbar", "format", "output", "n-max",
+    "sweep-var", "from", "to", "steps", "method", "grid-n", "levels", "tolerance",
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ptoscillator",
         description="Energy and pressure spectra of the confined Poschl-Teller oscillator.",
+        allow_abbrev=allow_abbrev,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, allow_abbrev=allow_abbrev)
         p.add_argument("--mass", type=float, default=None, help="particle mass (default 1)")
         p.add_argument(
             "--well-depth", type=float, default=None, help="well intensity V0 (default 0)"
@@ -142,21 +149,19 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
         p.add_argument("--output", default=None, help="write the table here instead of stdout")
         p.add_argument("--config", default=None, help="key-value config file; flags win")
+        return p
 
-    p_spectrum = sub.add_parser("spectrum", help="exact energy and pressure table")
-    add_common(p_spectrum)
+    p_spectrum = add_command("spectrum", "exact energy and pressure table")
     p_spectrum.add_argument("--n-max", type=int, default=None, help="levels 1..n-max (default 10)")
 
-    p_sweep = sub.add_parser("sweep", help="single-level quantities along a parameter sweep")
-    add_common(p_sweep)
+    p_sweep = add_command("sweep", "single-level quantities along a parameter sweep")
     p_sweep.add_argument("--sweep-var", choices=("half-width", "well-depth"), default=None)
     p_sweep.add_argument("--from", dest="sweep_from", type=float, default=None)
     p_sweep.add_argument("--to", dest="sweep_to", type=float, default=None)
     p_sweep.add_argument("--steps", type=int, default=None, help="sweep points (>= 2)")
     p_sweep.add_argument("--n-max", type=int, default=None, help="fixed level n (default 1)")
 
-    p_cmp = sub.add_parser("compare", help="exact levels vs an approximation")
-    add_common(p_cmp)
+    p_cmp = add_command("compare", "exact levels vs an approximation")
     p_cmp.add_argument(
         "--method",
         choices=("fp-limit", "ho-limit", "semiclassical", "perturbation"),
@@ -164,8 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument("--n-max", type=int, default=None, help="levels 1..n-max (default 10)")
 
-    p_val = sub.add_parser("validate", help="closed forms vs the finite-difference oracle")
-    add_common(p_val)
+    p_val = add_command("validate", "closed forms vs the finite-difference oracle")
     p_val.add_argument("--grid-n", type=int, default=None, help="base interior points (default 4000)")
     p_val.add_argument("--levels", type=int, default=None, help="levels to check (default 5)")
     p_val.add_argument(
@@ -190,43 +194,26 @@ def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict[str, s
             key, _, value = line.partition(" ")
         key = key.strip().lstrip("-").replace("_", "-").lower()
         value = value.strip()
-        if key not in _ALL_KEYS or not value:
+        if key not in _CONFIG_KEYS or not value:
             parser.error(f"config file {path!r} line {lineno}: unknown or empty entry {raw!r}")
         values[key] = value
     return values
 
 
 def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
+    """Fill the options still unset from ``--config``, parsed like flags.
+
+    Each entry becomes one ``--key=value`` token, so a value starting
+    with '-' stays a value.  Abbreviations are off for this parse: the
+    key ``to`` must not match ``--tolerance`` of ``validate``.
+    """
+    if not args.config:
         return
-    file_values = _load_config_file(parser, args.config)
-    for key, raw in file_values.items():
-        dest = _KEY_TO_DEST[key]
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
-            continue  # flag given explicitly, or key irrelevant to this subcommand
-        try:
-            if key in _FLOAT_KEYS:
-                setattr(args, dest, float(raw))
-            elif key in _INT_KEYS:
-                setattr(args, dest, int(raw))
-            else:
-                setattr(args, dest, raw)
-        except ValueError:
-            parser.error(f"config value for {key!r} is not a valid number: {raw!r}")
-    if args.fmt is not None and args.fmt not in ("csv", "json"):
-        parser.error(f"format must be csv or json, got {args.fmt!r}")
-    if getattr(args, "sweep_var", None) is not None and args.sweep_var not in (
-        "half-width",
-        "well-depth",
-    ):
-        parser.error(f"sweep-var must be half-width or well-depth, got {args.sweep_var!r}")
-    if getattr(args, "method", None) is not None and args.method not in (
-        "fp-limit",
-        "ho-limit",
-        "semiclassical",
-        "perturbation",
-    ):
-        parser.error(f"unknown method {args.method!r}")
+    tokens = [f"--{key}={value}" for key, value in _load_config_file(parser, args.config).items()]
+    file_args, _ = _build_parser(allow_abbrev=False).parse_known_args([args.command, *tokens])
+    for dest, value in vars(file_args).items():
+        if value is not None and getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _build_run_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
@@ -267,7 +254,7 @@ def _build_run_config(parser: argparse.ArgumentParser, args: argparse.Namespace)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (status, meta, columns, rows)
 
 
 def _scales_document(scales) -> dict:
@@ -282,95 +269,43 @@ def _scales_document(scales) -> dict:
     }
 
 
-def cmd_spectrum(config: RunConfig) -> tuple[int, str]:
+def cmd_spectrum(config: RunConfig):
     table = spectra.spectrum_table(config.parameters, config.n_max)
-    if config.fmt == "json":
-        document = {
-            "scales": _scales_document(table.scales),
-            "rows": [
-                {
-                    "n": row.n,
-                    "E_fp": row.energy_fp,
-                    "E_ho": row.energy_ho,
-                    "E_total": row.energy_total,
-                    "P_fp": row.pressure_fp,
-                    "P_ho": row.pressure_ho,
-                    "P_total": row.pressure_total,
-                    "eta": row.regime_ratio,
-                    "regime": row.regime_label,
-                }
-                for row in table.rows
-            ],
-        }
-        return EXIT_OK, _json_text(document)
     rows = [
-        [
-            str(row.n),
-            row.energy_fp,
-            row.energy_ho,
-            row.energy_total,
-            row.pressure_fp,
-            row.pressure_ho,
-            row.pressure_total,
-            row.regime_ratio,
-            row.regime_label,
-        ]
+        (row.n, row.energy_fp, row.energy_ho, row.energy_total, row.pressure_fp,
+         row.pressure_ho, row.pressure_total, row.regime_ratio, row.regime_label)
         for row in table.rows
     ]
-    return EXIT_OK, _csv_text(_SPECTRUM_HEADER, rows)
+    return EXIT_OK, {"scales": _scales_document(table.scales)}, _SPECTRUM_COLUMNS, rows
 
 
-def cmd_sweep(config: RunConfig) -> tuple[int, str]:
+def cmd_sweep(config: RunConfig):
     if config.sweep_var is None:
         raise InvalidParameterError("sweep requires --sweep-var")
     if config.sweep_from is None or config.sweep_to is None:
         raise InvalidParameterError("sweep requires --from and --to")
+    if not (math.isfinite(config.sweep_from) and math.isfinite(config.sweep_to)):
+        raise InvalidParameterError("sweep requires finite --from and --to")
     if config.steps is None or config.steps < 2:
         raise InvalidParameterError("sweep requires --steps >= 2")
+    if config.steps > spectra.MAX_TABLE_LEVELS:
+        raise ResourceLimitError(
+            f"--steps {config.steps} exceeds the maximum {spectra.MAX_TABLE_LEVELS}"
+        )
     if not config.sweep_from < config.sweep_to:
         raise InvalidParameterError("sweep requires --from < --to")
-    values = np.linspace(config.sweep_from, config.sweep_to, config.steps)
+    field = config.sweep_var.replace("-", "_")
     n = config.n_max
     rows = []
-    for value in values:
-        if config.sweep_var == "half-width":
-            params = PTParameters(
-                mass=config.parameters.mass,
-                well_depth=config.parameters.well_depth,
-                half_width=float(value),
-                hbar=config.parameters.hbar,
-            )
-        else:
-            params = PTParameters(
-                mass=config.parameters.mass,
-                well_depth=float(value),
-                half_width=config.parameters.half_width,
-                hbar=config.parameters.hbar,
-            )
+    for value in np.linspace(config.sweep_from, config.sweep_to, config.steps):
+        params = replace(config.parameters, **{field: float(value)})
         scales = derive_scales(params)
         energy = spectra.energy_level(params, n, scales)
         pressure = spectra.pressure_level(params, n, scales)
         s_eff = pressure.total * params.half_width / energy.total
-        rows.append(
-            [
-                float(value),
-                scales.lambda_exact,
-                scales.oscillator_quantum,
-                energy.total,
-                pressure.total,
-                s_eff,
-                scales.n_critical,
-            ]
-        )
-    if config.fmt == "json":
-        keys = ("param_value", "lambda", "hbar_omega", "E_n", "P_n", "s_eff", "n_cr")
-        document = {
-            "sweep_var": config.sweep_var,
-            "n": n,
-            "rows": [dict(zip(keys, row)) for row in rows],
-        }
-        return EXIT_OK, _json_text(document)
-    return EXIT_OK, _csv_text(_SWEEP_HEADER, rows)
+        rows.append((float(value), scales.lambda_exact, scales.oscillator_quantum,
+                     energy.total, pressure.total, s_eff, scales.n_critical))
+    return EXIT_OK, {"sweep_var": config.sweep_var, "n": n}, _SWEEP_COLUMNS, rows
 
 
 def _approximation_for(method: str, params: PTParameters):
@@ -383,7 +318,7 @@ def _approximation_for(method: str, params: PTParameters):
     return lambda n: perturbation.perturbed_energy(params, n).total
 
 
-def cmd_compare(config: RunConfig) -> tuple[int, str]:
+def cmd_compare(config: RunConfig):
     if config.method is None:
         raise InvalidParameterError("compare requires --method")
     params = config.parameters
@@ -394,26 +329,19 @@ def cmd_compare(config: RunConfig) -> tuple[int, str]:
         exact = spectra.energy_level(params, n).total
         approx = approximate(n)
         abs_err = abs(exact - approx)
-        row = [str(n), exact, approx, abs_err, abs_err / abs(exact)]
+        row = (n, exact, approx, abs_err, abs_err / abs(exact))
         if numeric_column:
-            row.append(semiclassical.qc_energy_numeric(params, n))
+            row += (semiclassical.qc_energy_numeric(params, n),)
         rows.append(row)
-    header = _COMPARE_HEADER + (",E_qc_numeric" if numeric_column else "")
-    if config.fmt == "json":
-        keys = ["n", "E_exact", "E_approx", "abs_err", "rel_err"]
-        if numeric_column:
-            keys.append("E_qc_numeric")
-        document = {
-            "method": config.method,
-            "rows": [
-                dict(zip(keys, [int(row[0])] + row[1:])) for row in rows
-            ],
-        }
-        return EXIT_OK, _json_text(document)
-    return EXIT_OK, _csv_text(header, rows)
+    columns = _COMPARE_COLUMNS + (("E_qc_numeric",) if numeric_column else ())
+    return EXIT_OK, {"method": config.method}, columns, rows
 
 
-def cmd_validate(config: RunConfig) -> tuple[int, str]:
+def cmd_validate(config: RunConfig):
+    if not (math.isfinite(config.tolerance) and config.tolerance > 0.0):
+        raise InvalidParameterError(
+            f"--tolerance must be positive and finite, got {config.tolerance!r}"
+        )
     params = config.parameters
     grid = oracle.GridSpec(
         interior_points=config.grid_n, richardson_levels=3, level_count=config.levels
@@ -430,36 +358,14 @@ def cmd_validate(config: RunConfig) -> tuple[int, str]:
         pressure_err = abs(numeric_pressure - closed_pressure) / abs(closed_pressure)
         if energy_err > config.tolerance or pressure_err > _PRESSURE_TOLERANCE:
             all_ok = False
-        rows.append(
-            [
-                str(n),
-                closed_energy,
-                numeric_energy,
-                energy_err,
-                closed_pressure,
-                numeric_pressure,
-                pressure_err,
-            ]
-        )
-    status = EXIT_OK if all_ok else EXIT_TOLERANCE
-    if config.fmt == "json":
-        keys = (
-            "n",
-            "E_closed",
-            "E_numeric",
-            "rel_err_energy",
-            "P_closed",
-            "P_numeric",
-            "rel_err_pressure",
-        )
-        document = {
-            "passed": all_ok,
-            "tolerance_energy": config.tolerance,
-            "tolerance_pressure": _PRESSURE_TOLERANCE,
-            "rows": [dict(zip(keys, [int(row[0])] + row[1:])) for row in rows],
-        }
-        return status, _json_text(document)
-    return status, _csv_text(_VALIDATE_HEADER, rows)
+        rows.append((n, closed_energy, numeric_energy, energy_err,
+                     closed_pressure, numeric_pressure, pressure_err))
+    meta = {
+        "passed": all_ok,
+        "tolerance_energy": config.tolerance,
+        "tolerance_pressure": _PRESSURE_TOLERANCE,
+    }
+    return EXIT_OK if all_ok else EXIT_TOLERANCE, meta, _VALIDATE_COLUMNS, rows
 
 
 _COMMANDS = {
@@ -475,12 +381,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _build_run_config(parser, args)
-        status, text = _COMMANDS[args.command](config)
+        status, meta, columns, rows = _COMMANDS[args.command](config)
     except PTOscillatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    text = _render(config.fmt, meta, columns, rows)
     if config.output:
-        Path(config.output).write_text(text, encoding="utf-8", newline="\n")
+        try:
+            Path(config.output).write_text(text, encoding="utf-8", newline="\n")
+        except OSError as exc:
+            print(f"error: cannot write {config.output!r}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     if status == EXIT_TOLERANCE:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceError, InvalidParameterError, ResourceLimitError
-from .parameters import PTParameters, potential
+from .parameters import PTParameters, check_level, potential
 from .spectra import energy_level
 
 __all__ = [
@@ -196,8 +196,7 @@ def numerical_pressure(
     extrapolated like the eigenvalues, which makes the check fully
     independent of the closed forms.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"quantum number must be an integer >= 1, got {n!r}")
+    check_level(n)
     if not _STEP_MIN <= relative_step <= _STEP_MAX:
         raise InvalidParameterError(
             f"relative_step must lie in [{_STEP_MIN}, {_STEP_MAX}], got {relative_step!r}"

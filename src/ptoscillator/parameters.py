@@ -82,6 +82,12 @@ class DerivedScales:
     n_critical: float
 
 
+def check_level(n: int) -> None:
+    """Reject a quantum number that is not an integer >= 1."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise InvalidParameterError(f"quantum number must be an integer >= 1, got {n!r}")
+
+
 def derive_scales(params: PTParameters) -> DerivedScales:
     """Compute every derived scale of the well.
 

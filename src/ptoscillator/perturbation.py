@@ -19,16 +19,13 @@ correction of the wide-well expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidParameterError
-from .parameters import PTParameters, derive_scales
+from .parameters import PTParameters, check_level, derive_scales
 
 __all__ = [
     "TAN_SQUARED_COEFFICIENTS",
-    "PotentialSeries",
-    "potential_series",
     "potential_series_eval",
     "PerturbedEnergy",
     "perturbed_energy",
@@ -38,37 +35,21 @@ __all__ = [
 TAN_SQUARED_COEFFICIENTS = (1.0, 2.0 / 3.0, 17.0 / 45.0)
 
 
-@dataclass(frozen=True, slots=True)
-class PotentialSeries:
-    """Truncated even Taylor series of tan^2 scaled by the well depth."""
-
-    coefficients: tuple[float, ...]
-    truncation_order: int
-
-
-def potential_series(k_max: int) -> PotentialSeries:
-    """The tan^2 Taylor coefficients kept through order (alpha x)^(2 k_max)."""
-    if k_max not in (1, 2, 3):
-        raise InvalidParameterError(f"series truncation must be 1, 2 or 3, got {k_max!r}")
-    return PotentialSeries(
-        coefficients=TAN_SQUARED_COEFFICIENTS[:k_max], truncation_order=k_max
-    )
-
-
 def potential_series_eval(params: PTParameters, x: float, k_max: int) -> float:
     """Evaluate the truncated potential V0 sum_k c_k (alpha x)^(2k).
 
     At k_max = 1 this is exactly the harmonic potential
     (1/2) m w~^2 x^2 of the wide-well limit.
     """
-    series = potential_series(k_max)
+    if k_max not in (1, 2, 3):
+        raise InvalidParameterError(f"series truncation must be 1, 2 or 3, got {k_max!r}")
     alpha = math.pi / (2.0 * params.half_width)
     y = alpha * x
     if abs(y) >= 0.5 * math.pi:
         raise DomainError(f"|alpha x| must be below pi/2, got {abs(y)!r}")
     y2 = y * y
     total = 0.0
-    for coeff in reversed(series.coefficients):
+    for coeff in reversed(TAN_SQUARED_COEFFICIENTS[:k_max]):
         total = total * y2 + coeff
     return params.well_depth * y2 * total
 
@@ -79,22 +60,12 @@ class PerturbedEnergy(NamedTuple):
     total: float
 
 
-def perturbed_energy(
-    params: PTParameters, n: int, literal_bracket: bool = False
-) -> PerturbedEnergy:
-    """Harmonic level plus first-order quartic correction, n = 1, 2, ...
-
-    ``literal_bracket`` switches the correction to the unshifted
-    oscillator-count form T (n^2 + n + 1/2); it exists only so the two
-    index conventions can be compared and is not the physical spectrum
-    for levels counted from 1.
-    """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"quantum number must be an integer >= 1, got {n!r}")
+def perturbed_energy(params: PTParameters, n: int) -> PerturbedEnergy:
+    """Harmonic level plus first-order quartic correction, n = 1, 2, ..."""
+    check_level(n)
     scales = derive_scales(params)
     kinetic = scales.kinetic_scale
     omega_quantum = 2.0 * math.sqrt(params.well_depth * kinetic)
     harmonic = omega_quantum * (n - 0.5)
-    bracket = n * n + n + 0.5 if literal_bracket else n * n - n + 0.5
-    quartic = kinetic * bracket
+    quartic = kinetic * (n * n - n + 0.5)
     return PerturbedEnergy(harmonic=harmonic, quartic=quartic, total=harmonic + quartic)

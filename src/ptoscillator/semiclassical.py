@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     QuadratureError,
 )
-from .parameters import PTParameters, derive_scales
+from .parameters import PTParameters, check_level, derive_scales
 
 __all__ = [
     "ActionEvaluation",
@@ -129,8 +129,7 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
 
 def qc_energy_closed(params: PTParameters, n: int) -> float:
     """Semiclassical level energy from the closed-form action inversion."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"quantum number must be an integer >= 1, got {n!r}")
+    check_level(n)
     scales = derive_scales(params)
     root = math.sqrt(scales.kinetic_scale) * (n - 0.5) + math.sqrt(params.well_depth)
     return root * root - params.well_depth

@@ -16,11 +16,12 @@ each level as box-dominated or oscillator-dominated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidParameterError
-from .parameters import DerivedScales, PTParameters, derive_scales
+from .errors import DomainError, InvalidParameterError
+from .parameters import DerivedScales, PTParameters, check_level, derive_scales
 
 __all__ = [
     "FP_DOMINATED",
@@ -66,9 +67,12 @@ class RegimeRatio(NamedTuple):
     label: str
 
 
-def _check_level(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"quantum number must be an integer >= 1, got {n!r}")
+def _check_finite(quantity: str, n: int, total: float) -> None:
+    # A NaN or inf in either part shows up in the total.
+    if not math.isfinite(total):
+        raise DomainError(
+            f"{quantity} of level {n} leaves the floating-point range (total {total!r})"
+        )
 
 
 def energy_level(
@@ -76,13 +80,16 @@ def energy_level(
 ) -> EnergyLevel:
     """Closed-form level energy split into box and oscillator parts.
 
-    fp = T n^2, ho = T lambda (n - 1/2), total = fp + ho.
+    fp = T n^2, ho = T lambda (n - 1/2), total = fp + ho.  Raises
+    :class:`DomainError` when the total is not finite.
     """
-    _check_level(n)
+    check_level(n)
     s = scales if scales is not None else derive_scales(params)
     fp = s.kinetic_scale * n * n
     ho = s.oscillator_quantum * (n - 0.5)
-    return EnergyLevel(fp=fp, ho=ho, total=fp + ho)
+    total = fp + ho
+    _check_finite("energy", n, total)
+    return EnergyLevel(fp=fp, ho=ho, total=total)
 
 
 def pressure_level(
@@ -92,15 +99,18 @@ def pressure_level(
 
     The box part obeys the homogeneous equation of state P = 2 E / L;
     the oscillator part picks up the extra -T psi (n - 1/2) / L term
-    because lambda is not a homogeneous function of L.
+    because lambda is not a homogeneous function of L.  Raises
+    :class:`DomainError` when the total is not finite.
     """
-    _check_level(n)
+    check_level(n)
     s = scales if scales is not None else derive_scales(params)
     inv_l = 1.0 / params.half_width
     energy = energy_level(params, n, s)
     fp = 2.0 * inv_l * energy.fp
     ho = 2.0 * inv_l * energy.ho - inv_l * s.kinetic_scale * s.psi_factor * (n - 0.5)
-    return PressureLevel(fp=fp, ho=ho, total=fp + ho)
+    total = fp + ho
+    _check_finite("pressure", n, total)
+    return PressureLevel(fp=fp, ho=ho, total=total)
 
 
 def regime_ratio(
@@ -112,7 +122,7 @@ def regime_ratio(
     inf sentinel (box-dominated).  Labels: oscillator-dominated below
     0.5, box-dominated at 2 and above, crossover in between.
     """
-    _check_level(n)
+    check_level(n)
     s = scales if scales is not None else derive_scales(params)
     if s.lambda_exact == 0.0:
         return RegimeRatio(eta=float("inf"), label=FP_DOMINATED)
@@ -128,13 +138,7 @@ def regime_ratio(
 
 @dataclass(frozen=True, slots=True)
 class SpectrumRow:
-    """One spectral level: energies, pressures and regime data.
-
-    ``regime_ratio_approx`` is the simplified ratio n / n_cr; it differs
-    from the component ratio ``regime_ratio`` by the factor n / (n - 1/2)
-    and by the convention adopted for n_cr, and is carried alongside for
-    comparison.
-    """
+    """One spectral level: energies, pressures and regime data."""
 
     n: int
     energy_fp: float
@@ -144,7 +148,6 @@ class SpectrumRow:
     pressure_ho: float
     pressure_total: float
     regime_ratio: float
-    regime_ratio_approx: float
     regime_label: str
 
 
@@ -174,7 +177,6 @@ def spectrum_table(params: PTParameters, n_max: int) -> SpectrumTable:
         energy = energy_level(params, n, scales)
         pressure = pressure_level(params, n, scales)
         ratio = regime_ratio(params, n, scales)
-        approx = 0.0 if scales.n_critical == float("inf") else n / scales.n_critical
         rows.append(
             SpectrumRow(
                 n=n,
@@ -185,7 +187,6 @@ def spectrum_table(params: PTParameters, n_max: int) -> SpectrumTable:
                 pressure_ho=pressure.ho,
                 pressure_total=pressure.total,
                 regime_ratio=ratio.eta,
-                regime_ratio_approx=approx,
                 regime_label=ratio.label,
             )
         )

@@ -89,6 +89,14 @@ class TestSpectrum:
         assert document["scales"]["n_cr"] is None
         assert cli._json_text(document) == out
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "table.csv"
+        code = cli.main(["spectrum", *UNIT_WELL_FLAGS, "--output", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: cannot write ")
+        assert "Traceback" not in captured.err
+
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         code, out = run_cli(capsys, ["spectrum", *UNIT_WELL_FLAGS, "--n-max", "3"])
         target = tmp_path / "table.csv"
@@ -157,6 +165,23 @@ class TestSweep:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("endpoints", [["--from=-inf", "--to=1"], ["--from=0", "--to=inf"]])
+    def test_non_finite_endpoint_rejected(self, capsys, endpoints):
+        code = cli.main(["sweep", "--half-width", "1", "--sweep-var", "well-depth",
+                         *endpoints, "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: sweep requires finite --from and --to\n"
+
+    def test_too_many_steps_is_resource_error(self, capsys):
+        # rejected before any sweep point is allocated
+        code, _ = run_cli(
+            capsys,
+            ["sweep", "--half-width", "1", "--sweep-var", "well-depth",
+             "--from", "0", "--to", "1", "--steps", "1000001"],
+        )
+        assert code == 3
+
     def test_reversed_range_rejected(self, capsys):
         code, _ = run_cli(
             capsys,
@@ -179,6 +204,10 @@ class TestFloatRangeGuard:
              "--steps", "3"],
             ["sweep", "--well-depth", "1e308", "--sweep-var", "half-width", "--from", "1",
              "--to", "2", "--steps", "3"],
+            ["spectrum", "--half-width", "1e-150", "--well-depth", "1e300", "--n-max", "3"],
+            ["sweep", "--half-width", "1e-150", "--sweep-var", "well-depth", "--from", "0",
+             "--to", "1e300", "--steps", "3"],
+            ["spectrum", "--half-width", "1e-150", "--n-max", "200000"],
         ],
     )
     def test_overflowing_scales_are_domain_errors(self, capsys, argv):
@@ -262,6 +291,16 @@ class TestValidate:
         code, _ = run_cli(capsys, ["validate", *UNIT_WELL_FLAGS, "--grid-n", "64"])
         assert code == 4
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-6"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
+        code, out = run_cli(
+            capsys,
+            ["validate", *UNIT_WELL_FLAGS, "--grid-n", "64", "--levels", "2",
+             f"--tolerance={tolerance}"],
+        )
+        assert code == 3
+        assert out == ""
+
     def test_json_reports_status(self, capsys):
         code, out = run_cli(
             capsys,
@@ -303,6 +342,38 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["spectrum", "--config", str(config)])
         assert excinfo.value.code == 2
+
+    def test_keys_of_other_subcommands_are_ignored(self, capsys, tmp_path):
+        # "to" belongs to sweep; it must not abbreviate validate's --tolerance
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "half-width = 1.5707963267948966\nwell-depth = 0.375\n"
+            "method = fp-limit\nsteps = 4\nto = 3\n",
+            encoding="utf-8",
+        )
+        code, out = run_cli(
+            capsys, ["validate", "--config", str(config), "--grid-n", "64", "--levels", "2"]
+        )
+        assert code == 4
+
+    @pytest.mark.parametrize(
+        "entry", ["format = xml", "n-max = 3.5", "well-depth = deep"]
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, entry):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"half-width = 1\n{entry}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["spectrum", "--config", str(config)])
+        assert excinfo.value.code == 2
+
+    def test_value_may_start_with_a_dash(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        target = tmp_path / "-table.csv"
+        config.write_text(f"half-width = 1\noutput = {target}\n", encoding="utf-8")
+        code, out = run_cli(capsys, ["spectrum", "--config", str(config), "--n-max", "2"])
+        assert code == 0
+        assert out == ""
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

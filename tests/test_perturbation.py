@@ -11,9 +11,9 @@ from ptoscillator import (
     energy_level,
     perturbed_energy,
     potential,
-    potential_series,
     potential_series_eval,
 )
+from ptoscillator.perturbation import TAN_SQUARED_COEFFICIENTS
 
 mp.mp.dps = 50
 
@@ -24,23 +24,20 @@ def wide_params(lam_tilde: float, depth: float = 0.5) -> PTParameters:
     return PTParameters(mass=1.0, well_depth=depth, half_width=half_width)
 
 
-class TestPotentialSeries:
+class TestPotentialSeriesEval:
     def test_coefficients_match_taylor_expansion(self):
         # mpmath Taylor coefficients of tan(y)^2 at even orders 2, 4, 6.
         taylor = mp.taylor(lambda y: mp.tan(y) ** 2, 0, 6)
-        series = potential_series(3)
-        for k, coeff in enumerate(series.coefficients, start=1):
+        for k, coeff in enumerate(TAN_SQUARED_COEFFICIENTS, start=1):
             assert coeff == pytest.approx(float(taylor[2 * k]), abs=1e-14)
-        assert series.coefficients[1] / series.coefficients[0] == pytest.approx(
+        assert TAN_SQUARED_COEFFICIENTS[1] / TAN_SQUARED_COEFFICIENTS[0] == pytest.approx(
             2.0 / 3.0, abs=1e-15
         )
 
-    def test_truncation_guard(self):
+    def test_truncation_guard(self, unit_well):
         with pytest.raises(InvalidParameterError):
-            potential_series(4)
+            potential_series_eval(unit_well, 0.1, 4)
 
-
-class TestPotentialSeriesEval:
     def test_zero_at_origin(self, unit_well):
         assert potential_series_eval(unit_well, 0.0, 2) == 0.0
 
@@ -128,13 +125,6 @@ class TestPerturbedEnergy:
         predicted_residual = scales.kinetic_scale**2 / (2.0 * hw_tilde) * (n - 0.5)
         ratio = (exact - perturbed_energy(params, n).total) / predicted_residual
         assert 0.9 <= ratio <= 1.1
-
-    def test_literal_bracket_is_the_unshifted_count(self, wide_well):
-        # T (n^2 + n + 1/2) equals the shifted bracket evaluated at n + 1.
-        literal = perturbed_energy(wide_well, 3, literal_bracket=True)
-        shifted = perturbed_energy(wide_well, 4)
-        assert literal.quartic == shifted.quartic
-        assert literal.harmonic == perturbed_energy(wide_well, 3).harmonic
 
     def test_rejects_bad_quantum_number(self, wide_well):
         with pytest.raises(InvalidParameterError):

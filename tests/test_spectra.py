@@ -8,6 +8,7 @@ from ptoscillator import (
     CROSSOVER,
     FP_DOMINATED,
     HO_DOMINATED,
+    DomainError,
     InvalidParameterError,
     PTParameters,
     energy_level,
@@ -45,6 +46,21 @@ class TestEnergyLevel:
 def derive_kinetic(params: PTParameters) -> float:
     alpha = math.pi / (2.0 * params.half_width)
     return params.hbar**2 * alpha**2 / (2.0 * params.mass)
+
+
+class TestNonFiniteTotals:
+    def test_overflowing_levels_are_domain_errors(self):
+        # T is about 1.2e300 here: n^2 T overflows near n = 1.2e4, and the
+        # pressure parts scale by 1/L = 1e150 (inf - inf for the well).
+        narrow_box = PTParameters(1.0, 0.0, 1e-150)
+        narrow_deep = PTParameters(1.0, 1e300, 1e-150)
+        assert math.isfinite(energy_level(narrow_deep, 1).total)
+        with pytest.raises(DomainError):
+            energy_level(narrow_box, 20000)
+        with pytest.raises(DomainError):
+            pressure_level(narrow_box, 1)
+        with pytest.raises(DomainError):
+            pressure_level(narrow_deep, 1)
 
 
 class TestPressureLevel:
@@ -149,13 +165,6 @@ class TestSpectrumTable:
             spectrum_table(unit_well, 0)
         with pytest.raises(InvalidParameterError):
             spectrum_table(unit_well, 10**6 + 1)
-
-    def test_approximate_ratio_column(self, unit_well, box):
-        # n / n_cr differs from the component ratio by n / (n - 1/2).
-        table = spectrum_table(unit_well, 4)
-        for row in table.rows:
-            assert row.regime_ratio_approx == pytest.approx(row.n * 1.0, rel=1e-14)
-        assert spectrum_table(box, 2).rows[1].regime_ratio_approx == 0.0
 
     @given(mass=positive, depth=st.one_of(st.just(0.0), positive), half_width=positive)
     @settings(max_examples=100)
