@@ -42,14 +42,9 @@ from .spectra import (
     CROSSOVER,
     FP_DOMINATED,
     HO_DOMINATED,
-    EnergyLevel,
-    PressureLevel,
-    RegimeRatio,
-    SpectrumRow,
+    Levels,
     SpectrumTable,
-    energy_level,
-    pressure_level,
-    regime_ratio,
+    levels,
     spectrum_table,
 )
 
@@ -68,14 +63,9 @@ __all__ = [
     "DerivedScales",
     "derive_scales",
     "potential",
-    "EnergyLevel",
-    "PressureLevel",
-    "RegimeRatio",
-    "SpectrumRow",
+    "Levels",
     "SpectrumTable",
-    "energy_level",
-    "pressure_level",
-    "regime_ratio",
+    "levels",
     "spectrum_table",
     "FP_DOMINATED",
     "HO_DOMINATED",

@@ -271,12 +271,7 @@ def _scales_document(scales) -> dict:
 
 def cmd_spectrum(config: RunConfig):
     table = spectra.spectrum_table(config.parameters, config.n_max)
-    rows = [
-        (row.n, row.energy_fp, row.energy_ho, row.energy_total, row.pressure_fp,
-         row.pressure_ho, row.pressure_total, row.regime_ratio, row.regime_label)
-        for row in table.rows
-    ]
-    return EXIT_OK, {"scales": _scales_document(table.scales)}, _SPECTRUM_COLUMNS, rows
+    return EXIT_OK, {"scales": _scales_document(table.scales)}, _SPECTRUM_COLUMNS, table.rows
 
 
 def cmd_sweep(config: RunConfig):
@@ -300,11 +295,10 @@ def cmd_sweep(config: RunConfig):
     for value in np.linspace(config.sweep_from, config.sweep_to, config.steps):
         params = replace(config.parameters, **{field: float(value)})
         scales = derive_scales(params)
-        energy = spectra.energy_level(params, n, scales)
-        pressure = spectra.pressure_level(params, n, scales)
-        s_eff = pressure.total * params.half_width / energy.total
+        level = spectra.levels(params, n, scales)
+        s_eff = level.pressure_total * params.half_width / level.energy_total
         rows.append((float(value), scales.lambda_exact, scales.oscillator_quantum,
-                     energy.total, pressure.total, s_eff, scales.n_critical))
+                     level.energy_total, level.pressure_total, s_eff, scales.n_critical))
     return EXIT_OK, {"sweep_var": config.sweep_var, "n": n}, _SWEEP_COLUMNS, rows
 
 
@@ -324,9 +318,9 @@ def cmd_compare(config: RunConfig):
     params = config.parameters
     numeric_column = config.method == "semiclassical"
     approximate = _approximation_for(config.method, params)
+    exact_energies = spectra.levels(params, spectra.level_range(config.n_max)).energy_total
     rows = []
-    for n in range(1, config.n_max + 1):
-        exact = spectra.energy_level(params, n).total
+    for n, exact in enumerate(exact_energies.tolist(), start=1):
         approx = approximate(n)
         abs_err = abs(exact - approx)
         row = (n, exact, approx, abs_err, abs_err / abs(exact))
@@ -347,13 +341,14 @@ def cmd_validate(config: RunConfig):
         interior_points=config.grid_n, richardson_levels=3, level_count=config.levels
     )
     numeric = oracle.solve_eigenvalues(params, grid)
+    closed = spectra.levels(params, np.arange(1, config.levels + 1))
     all_ok = True
     rows = []
-    for n in range(1, config.levels + 1):
-        closed_energy = spectra.energy_level(params, n).total
+    for n, closed_energy, closed_pressure in zip(
+        closed.n.tolist(), closed.energy_total.tolist(), closed.pressure_total.tolist()
+    ):
         numeric_energy = float(numeric.eigenvalues[n - 1])
         energy_err = abs(numeric_energy - closed_energy) / abs(closed_energy)
-        closed_pressure = spectra.pressure_level(params, n).total
         numeric_pressure = oracle.numerical_pressure(params, n, relative_step=_PRESSURE_STEP)
         pressure_err = abs(numeric_pressure - closed_pressure) / abs(closed_pressure)
         if energy_err > config.tolerance or pressure_err > _PRESSURE_TOLERANCE:

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError
-from .parameters import PTParameters, derive_scales
-from .spectra import energy_level, pressure_level
+from .parameters import PTParameters, check_level, derive_scales
+from .spectra import levels
 
 __all__ = [
     "FP_REGIME",
@@ -66,8 +66,7 @@ class LimitExpansion:
 
     def energy(self, n: int) -> float:
         """Approximate level energy at this expansion order."""
-        if n < 1:
-            raise InvalidParameterError(f"quantum number must be >= 1, got {n!r}")
+        check_level(n)
         ho_part = self.oscillator_quantum_approx * (n - 0.5)
         if self.regime == HO_REGIME and self.order_kept == 1:
             return ho_part
@@ -163,9 +162,8 @@ def limit_equation_of_state(params: PTParameters, n: int, regime: str) -> Approx
         expected = "O(T/hw_tilde)"
     else:
         raise InvalidParameterError(f"regime must be {FP_REGIME!r} or {HO_REGIME!r}, got {regime!r}")
-    energy = energy_level(params, n)
-    pressure = pressure_level(params, n)
-    s_eff = pressure.total * params.half_width / energy.total
+    level = levels(params, n)
+    s_eff = level.pressure_total * params.half_width / level.energy_total
     return ApproximationReport(
         exact=s_eff,
         approx=s_limit,

@@ -28,7 +28,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceError, InvalidParameterError, ResourceLimitError
 from .parameters import PTParameters, check_level, potential
-from .spectra import energy_level
+from .spectra import levels
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -213,8 +213,8 @@ def numerical_pressure(
     length = params.half_width
 
     def quotient(delta: float) -> float:
-        upper = energy_level(replace(params, half_width=length * (1.0 + delta)), n).total
-        lower = energy_level(replace(params, half_width=length * (1.0 - delta)), n).total
+        upper = levels(replace(params, half_width=length * (1.0 + delta)), n).energy_total
+        lower = levels(replace(params, half_width=length * (1.0 - delta)), n).energy_total
         return -(upper - lower) / (2.0 * length * delta)
 
     coarse = quotient(relative_step)
@@ -247,7 +247,7 @@ def convergence_study(
         raise InvalidParameterError(f"every grid size must be >= {_MIN_GRID_POINTS}")
     if level_count < 1:
         raise InvalidParameterError(f"level_count must be >= 1, got {level_count!r}")
-    closed = np.array([energy_level(params, n).total for n in range(1, level_count + 1)])
+    closed = levels(params, np.arange(1, level_count + 1)).energy_total
     spacings = []
     errors = []
     for size in sorted(grid_sizes):

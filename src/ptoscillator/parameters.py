@@ -64,6 +64,11 @@ class PTParameters:
                 f"well_depth must be finite and >= 0, got {self.well_depth!r}"
             )
 
+    @property
+    def alpha(self) -> float:
+        """Wall wavenumber pi / (2 L)."""
+        return math.pi / (2.0 * self.half_width)
+
 
 @dataclass(frozen=True, slots=True)
 class DerivedScales:
@@ -82,10 +87,23 @@ class DerivedScales:
     n_critical: float
 
 
-def check_level(n: int) -> None:
-    """Reject a quantum number that is not an integer >= 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InvalidParameterError(f"quantum number must be an integer >= 1, got {n!r}")
+def check_level(n) -> np.ndarray:
+    """Return ``n``, one int or an int array, as an array; reject any
+    quantum number that is not an integer in [1, 2**64) (booleans
+    included)."""
+    array = np.asarray(n)
+    if array.dtype.kind not in "iu" or (array < 1).any():
+        raise InvalidParameterError(f"quantum number must be an integer in [1, 2**64), got {n!r}")
+    return array
+
+
+def check_finite(quantity: str, n, total: float) -> None:
+    """Raise :class:`DomainError` when ``total``, the ``quantity`` of
+    level ``n``, is not finite."""
+    if not math.isfinite(total):
+        raise DomainError(
+            f"{quantity} of level {n} leaves the floating-point range (total {float(total)!r})"
+        )
 
 
 def derive_scales(params: PTParameters) -> DerivedScales:
@@ -104,7 +122,7 @@ def derive_scales(params: PTParameters) -> DerivedScales:
     positive floating-point range, instead of returning non-finite
     scales.
     """
-    alpha = math.pi / (2.0 * params.half_width)
+    alpha = params.alpha
     kinetic = (params.hbar * params.hbar) * (alpha * alpha) / (2.0 * params.mass)
     if not 0.0 < kinetic < math.inf:
         raise DomainError(
@@ -145,8 +163,7 @@ def potential(params: PTParameters, x):
         raise DomainError(
             f"coordinate outside the open interval (-L, L) with L={params.half_width!r}"
         )
-    alpha = math.pi / (2.0 * params.half_width)
-    values = params.well_depth * np.tan(alpha * arr) ** 2
+    values = params.well_depth * np.tan(params.alpha * arr) ** 2
     if np.isscalar(x) or arr.ndim == 0:
         return float(values)
     return values

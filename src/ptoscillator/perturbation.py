@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidParameterError
-from .parameters import PTParameters, check_level, derive_scales
+from .parameters import PTParameters, check_finite, check_level, derive_scales
 
 __all__ = [
     "TAN_SQUARED_COEFFICIENTS",
@@ -43,8 +43,7 @@ def potential_series_eval(params: PTParameters, x: float, k_max: int) -> float:
     """
     if k_max not in (1, 2, 3):
         raise InvalidParameterError(f"series truncation must be 1, 2 or 3, got {k_max!r}")
-    alpha = math.pi / (2.0 * params.half_width)
-    y = alpha * x
+    y = params.alpha * x
     if abs(y) >= 0.5 * math.pi:
         raise DomainError(f"|alpha x| must be below pi/2, got {abs(y)!r}")
     y2 = y * y
@@ -61,11 +60,16 @@ class PerturbedEnergy(NamedTuple):
 
 
 def perturbed_energy(params: PTParameters, n: int) -> PerturbedEnergy:
-    """Harmonic level plus first-order quartic correction, n = 1, 2, ..."""
+    """Harmonic level plus first-order quartic correction, n = 1, 2, ...
+
+    Raises :class:`DomainError` when the total is not finite.
+    """
     check_level(n)
     scales = derive_scales(params)
     kinetic = scales.kinetic_scale
     omega_quantum = 2.0 * math.sqrt(params.well_depth * kinetic)
     harmonic = omega_quantum * (n - 0.5)
     quartic = kinetic * (n * n - n + 0.5)
-    return PerturbedEnergy(harmonic=harmonic, quartic=quartic, total=harmonic + quartic)
+    total = harmonic + quartic
+    check_finite("energy", n, total)
+    return PerturbedEnergy(harmonic=harmonic, quartic=quartic, total=total)

@@ -60,8 +60,7 @@ def classical_momentum(params: PTParameters, x: float, energy: float) -> float:
         raise InvalidParameterError(f"energy must be positive, got {energy!r}")
     if abs(x) >= params.half_width:
         raise DomainError(f"|x| must be below the wall at {params.half_width!r}")
-    alpha = math.pi / (2.0 * params.half_width)
-    v = params.well_depth * math.tan(alpha * x) ** 2
+    v = params.well_depth * math.tan(params.alpha * x) ** 2
     gap = energy - v
     if gap < 0.0:
         if gap < -_TURNING_SLACK * max(energy, v):
@@ -80,8 +79,7 @@ def turning_point(params: PTParameters, energy: float) -> float:
         raise InvalidParameterError(f"energy must be positive, got {energy!r}")
     if params.well_depth == 0.0:
         return params.half_width
-    alpha = math.pi / (2.0 * params.half_width)
-    return math.atan(math.sqrt(energy / params.well_depth)) / alpha
+    return math.atan(math.sqrt(energy / params.well_depth)) / params.alpha
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +104,7 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
     if energy <= 0.0:
         raise InvalidParameterError(f"energy must be positive, got {energy!r}")
     x0 = turning_point(params, energy)
-    alpha = math.pi / (2.0 * params.half_width)
+    alpha = params.alpha
     two_m = 2.0 * params.mass
     v0 = params.well_depth
 

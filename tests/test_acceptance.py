@@ -17,12 +17,11 @@ from ptoscillator import (
     cli,
     convergence_study,
     derive_scales,
-    energy_level,
     fp_limit_expansion,
     ho_limit_expansion,
+    levels,
     numerical_pressure,
     perturbed_energy,
-    pressure_level,
     qc_energy_closed,
     qc_energy_numeric,
     solve_eigenvalues,
@@ -60,7 +59,7 @@ def test_criterion_1_spectrum_vs_oracle():
     grid = GridSpec(interior_points=4000, richardson_levels=3, level_count=10)
     for params in CASES:
         numeric = solve_eigenvalues(params, grid).eigenvalues
-        closed = np.array([energy_level(params, n).total for n in range(1, 11)])
+        closed = levels(params, np.arange(1, 11)).energy_total
         worst = np.max(np.abs(numeric - closed) / closed)
         assert worst <= 1e-6, f"{params}: worst relative error {worst:.3e}"
 
@@ -69,29 +68,26 @@ def test_criterion_1_spectrum_vs_oracle():
 def test_criterion_2_pressures():
     for params in CASES:
         for n in range(1, 6):
-            closed = pressure_level(params, n).total
+            closed = levels(params, n).pressure_total
             numeric = numerical_pressure(params, n, relative_step=1e-4)
             assert closed == pytest.approx(numeric, rel=1e-8)
-    assert pressure_level(CASE_UNIT, 1).total == pytest.approx(2.25 / math.pi, rel=1e-12)
-    assert pressure_level(CASE_UNIT, 1).total == pytest.approx(0.7161972, rel=1e-7)
+    assert levels(CASE_UNIT, 1).pressure_total == pytest.approx(2.25 / math.pi, rel=1e-12)
+    assert levels(CASE_UNIT, 1).pressure_total == pytest.approx(0.7161972, rel=1e-7)
 
 
 @criterion(3, "equation-of-state exponents")
 def test_criterion_3_equation_of_state():
     box = PTParameters(M, 0.0, 1.0, HBAR)
+    def s_eff(params, n):
+        level = levels(params, n)
+        return level.pressure_total * params.half_width / level.energy_total
+
     for n in (1, 2, 7):
-        s_box = pressure_level(box, n).total * box.half_width / energy_level(box, n).total
-        assert s_box == 2.0
-    s_wide = (
-        pressure_level(CASE_WIDE, 1).total
-        * CASE_WIDE.half_width
-        / energy_level(CASE_WIDE, 1).total
-    )
+        assert s_eff(box, n) == 2.0
+    s_wide = s_eff(CASE_WIDE, 1)
     assert abs(s_wide - 1.0) <= 1e-2
     wider = PTParameters(M, 0.5, 500 * math.pi, HBAR)
-    s_wider = (
-        pressure_level(wider, 1).total * wider.half_width / energy_level(wider, 1).total
-    )
+    s_wider = s_eff(wider, 1)
     assert abs(s_wider - 1.0) <= 0.5 * abs(s_wide - 1.0)
 
 
@@ -147,7 +143,7 @@ def test_criterion_5_semiclassical():
     for params in CASES:
         previous = None
         for n in range(1, 51):
-            exact = energy_level(params, n).total
+            exact = levels(params, n).energy_total
             deviation = abs(exact - qc_energy_closed(params, n)) / exact
             if previous is not None:
                 assert deviation < previous
@@ -159,7 +155,7 @@ def test_criterion_6_perturbation():
     scales = derive_scales(CASE_WIDE)
     hw_tilde = 2.0 * math.sqrt(CASE_WIDE.well_depth * scales.kinetic_scale)
     for n in range(1, 6):
-        exact = energy_level(CASE_WIDE, n).total
+        exact = levels(CASE_WIDE, n).energy_total
         perturbed = perturbed_energy(CASE_WIDE, n).total
         ratio = (exact - perturbed) / (
             scales.kinetic_scale**2 / (2.0 * hw_tilde) * (n - 0.5)

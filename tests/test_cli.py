@@ -208,6 +208,10 @@ class TestFloatRangeGuard:
             ["sweep", "--half-width", "1e-150", "--sweep-var", "well-depth", "--from", "0",
              "--to", "1e300", "--steps", "3"],
             ["spectrum", "--half-width", "1e-150", "--n-max", "200000"],
+            ["compare", "--half-width", "1e-150", "--well-depth", "1e300",
+             "--method", "perturbation", "--n-max", "2"],
+            ["compare", "--half-width", "1e-5", "--well-depth", "1e300",
+             "--method", "perturbation", "--n-max", "2"],
         ],
     )
     def test_overflowing_scales_are_domain_errors(self, capsys, argv):
@@ -263,6 +267,16 @@ class TestCompare:
     def test_method_required(self, capsys):
         code, _ = run_cli(capsys, ["compare", *UNIT_WELL_FLAGS])
         assert code == 3
+
+    @pytest.mark.parametrize("n_max", ["0", "1000001"])
+    def test_out_of_range_n_max_is_precondition_error(self, capsys, n_max):
+        code = cli.main(
+            ["compare", *UNIT_WELL_FLAGS, "--method", "perturbation", "--n-max", n_max]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: n_max must be an integer in [1, 1000000]")
 
 
 class TestValidate:

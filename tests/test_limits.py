@@ -13,11 +13,10 @@ from ptoscillator import (
     InvalidParameterError,
     PTParameters,
     derive_scales,
-    energy_level,
     fp_limit_expansion,
     ho_limit_expansion,
+    levels,
     limit_equation_of_state,
-    pressure_level,
 )
 
 mp.mp.dps = 50
@@ -78,6 +77,12 @@ class TestBoxSideExpansion:
         with pytest.raises(InvalidParameterError):
             fp_limit_expansion(shallow_well, order=3)
 
+    def test_energy_rejects_bad_quantum_number(self, shallow_well):
+        expansion = fp_limit_expansion(shallow_well, order=2)
+        for bad in (1.5, 0, True):
+            with pytest.raises(InvalidParameterError):
+                expansion.energy(bad)
+
 
 class TestOscillatorSideExpansion:
     def test_third_order_frequency(self, wide_well):
@@ -101,7 +106,7 @@ class TestOscillatorSideExpansion:
         expansion = ho_limit_expansion(wide_well, order=1)
         approx = expansion.energy(1)
         assert approx == pytest.approx(0.005, rel=1e-12)
-        exact = energy_level(wide_well, 1).total
+        exact = levels(wide_well, 1).energy_total
         assert exact == pytest.approx(5.0250625e-3, rel=1e-10)
         deviation = abs(exact - approx) / exact
         scales = derive_scales(wide_well)
@@ -211,23 +216,16 @@ class TestEquationOfState:
     @settings(max_examples=150)
     def test_effective_exponent_between_regimes(self, depth, half_width, n):
         params = PTParameters(1.0, depth, half_width)
-        energy = energy_level(params, n)
-        pressure = pressure_level(params, n)
-        s_eff = pressure.total * params.half_width / energy.total
+        level = levels(params, n)
+        s_eff = level.pressure_total * params.half_width / level.energy_total
         assert 1.0 < s_eff < 2.0
 
     def test_exponent_limits(self):
         nearly_box = PTParameters(1.0, 1e-9, 1.0)
-        s_box = (
-            pressure_level(nearly_box, 1).total
-            * nearly_box.half_width
-            / energy_level(nearly_box, 1).total
-        )
+        level = levels(nearly_box, 1)
+        s_box = level.pressure_total * nearly_box.half_width / level.energy_total
         assert s_box == pytest.approx(2.0, abs=1e-8)
         nearly_ho = wide_params(1e-5)
-        s_ho = (
-            pressure_level(nearly_ho, 1).total
-            * nearly_ho.half_width
-            / energy_level(nearly_ho, 1).total
-        )
+        level = levels(nearly_ho, 1)
+        s_ho = level.pressure_total * nearly_ho.half_width / level.energy_total
         assert s_ho == pytest.approx(1.0, abs=1e-4)

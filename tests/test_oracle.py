@@ -11,15 +11,14 @@ from ptoscillator import (
     ResourceLimitError,
     convergence_study,
     derive_scales,
-    energy_level,
+    levels,
     numerical_pressure,
-    pressure_level,
     solve_eigenvalues,
 )
 
 
 def closed_energies(params: PTParameters, count: int) -> np.ndarray:
-    return np.array([energy_level(params, n).total for n in range(1, count + 1)])
+    return levels(params, np.arange(1, count + 1)).energy_total
 
 
 class TestGridSpec:
@@ -99,19 +98,19 @@ class TestNumericalPressure:
     def test_box_homogeneous_spectrum(self):
         params = PTParameters(mass=1.0, well_depth=0.0, half_width=1.0)
         numeric = numerical_pressure(params, 2, relative_step=1e-4)
-        expected = 2.0 * energy_level(params, 2).total / params.half_width
+        expected = 2.0 * levels(params, 2).energy_total / params.half_width
         assert numeric == pytest.approx(expected, rel=1e-10)
 
     def test_wide_well_equation_of_state(self, wide_well):
         numeric = numerical_pressure(wide_well, 1)
-        energy = energy_level(wide_well, 1).total
+        energy = levels(wide_well, 1).energy_total
         s_eff = numeric * wide_well.half_width / energy
         assert s_eff == pytest.approx(1.005, rel=1e-3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_eigenvalue_mode(self, unit_well, n):
         numeric = numerical_pressure(unit_well, n, relative_step=1e-4, use_eigenvalues=True)
-        closed = pressure_level(unit_well, n).total
+        closed = levels(unit_well, n).pressure_total
         assert numeric == pytest.approx(closed, rel=1e-5)
 
     def test_eigenvalue_mode_box(self):
@@ -119,7 +118,7 @@ class TestNumericalPressure:
         numeric = numerical_pressure(
             params, 1, use_eigenvalues=True, grid=GridSpec(1000, richardson_levels=2, level_count=1)
         )
-        assert numeric == pytest.approx(pressure_level(params, 1).total, rel=1e-5)
+        assert numeric == pytest.approx(levels(params, 1).pressure_total, rel=1e-5)
 
     @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
     def test_eigenvalue_mode_is_grid_derivative(self, request, well):
@@ -148,7 +147,7 @@ class TestNumericalPressure:
         # Default grid; the measured worst relative error is 2.4e-7.
         params = request.getfixturevalue(well)
         numeric = numerical_pressure(params, n, use_eigenvalues=True)
-        assert numeric == pytest.approx(pressure_level(params, n).total, rel=1e-6)
+        assert numeric == pytest.approx(levels(params, n).pressure_total, rel=1e-6)
 
     @pytest.mark.parametrize("step", [1e-8, 0.5, 0.0])
     def test_step_bounds(self, unit_well, step):

@@ -47,6 +47,11 @@ class TestDeriveScales:
         assert scales.psi_factor == 1.5
         assert scales.n_critical == 1.0
 
+    def test_alpha_is_the_wall_wavenumber(self, unit_well, wide_well):
+        for params in (unit_well, wide_well):
+            assert params.alpha == math.pi / (2.0 * params.half_width)
+            assert derive_scales(params).alpha == params.alpha
+
     def test_wide_well_against_extended_precision(self, wide_well):
         # T = 5e-5, 4 V0 / T = 40000, lambda = sqrt(40001) - 1.
         scales = derive_scales(wide_well)

@@ -8,7 +8,7 @@ from ptoscillator import (
     InvalidParameterError,
     PTParameters,
     derive_scales,
-    energy_level,
+    levels,
     perturbed_energy,
     potential,
     potential_series_eval,
@@ -86,13 +86,13 @@ class TestPerturbedEnergy:
         assert result.harmonic == pytest.approx(0.005, rel=1e-12)
         assert result.quartic == pytest.approx(2.5e-5, rel=1e-12)
         assert result.total == pytest.approx(5.025e-3, rel=1e-12)
-        exact = energy_level(wide_well, 1).total
+        exact = levels(wide_well, 1).energy_total
         assert exact - result.total == pytest.approx(6.25e-8, rel=1e-4)
 
     def test_wide_well_second_level(self, wide_well):
         result = perturbed_energy(wide_well, 2)
         assert result.quartic == pytest.approx(1.25e-4, rel=1e-12)
-        exact = energy_level(wide_well, 2).total
+        exact = levels(wide_well, 2).energy_total
         assert exact - result.total == pytest.approx(1.875e-7, rel=1e-4)
 
     def test_correction_negligible_for_deep_wells(self):
@@ -121,7 +121,7 @@ class TestPerturbedEnergy:
         params = wide_params(lam_tilde)
         scales = derive_scales(params)
         hw_tilde = 2.0 * math.sqrt(params.well_depth * scales.kinetic_scale)
-        exact = energy_level(params, n).total
+        exact = levels(params, n).energy_total
         predicted_residual = scales.kinetic_scale**2 / (2.0 * hw_tilde) * (n - 0.5)
         ratio = (exact - perturbed_energy(params, n).total) / predicted_residual
         assert 0.9 <= ratio <= 1.1
@@ -129,3 +129,9 @@ class TestPerturbedEnergy:
     def test_rejects_bad_quantum_number(self, wide_well):
         with pytest.raises(InvalidParameterError):
             perturbed_energy(wide_well, -2)
+
+    def test_overflowing_total_is_domain_error(self):
+        # T is about 1.2e280: the harmonic part 2 sqrt(V0 T) (n - 1/2)
+        # overflows although every derived scale is finite.
+        with pytest.raises(DomainError, match="^energy of level 2 "):
+            perturbed_energy(PTParameters(1.0, 1e300, 1e-140), 2)

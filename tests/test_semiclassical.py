@@ -10,7 +10,7 @@ from ptoscillator import (
     action,
     classical_momentum,
     derive_scales,
-    energy_level,
+    levels,
     qc_energy_closed,
     qc_energy_numeric,
     turning_point,
@@ -126,7 +126,7 @@ class TestClosedFormLevels:
 
     def test_unit_well_vs_exact_gap(self, unit_well):
         # E_5 exact is 14.75; the semiclassical value sits below it.
-        assert energy_level(unit_well, 5).total == 14.75
+        assert levels(unit_well, 5).energy_total == 14.75
         assert qc_energy_closed(unit_well, 5) == pytest.approx(14.022114, rel=1e-6)
 
     def test_rejects_bad_quantum_number(self, unit_well):
@@ -161,7 +161,7 @@ class TestDeviationFromExact:
         params = PTParameters(1.0, depth, half_width)
         previous = None
         for n in range(1, 51):
-            exact = energy_level(params, n).total
+            exact = levels(params, n).energy_total
             deviation = abs(exact - qc_energy_closed(params, n)) / exact
             if previous is not None:
                 assert deviation < previous

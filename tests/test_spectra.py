@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,37 +12,77 @@ from ptoscillator import (
     HO_DOMINATED,
     DomainError,
     InvalidParameterError,
+    Levels,
+    PTOscillatorError,
     PTParameters,
-    energy_level,
+    derive_scales,
+    levels,
     numerical_pressure,
-    pressure_level,
-    regime_ratio,
     spectrum_table,
 )
 
 positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
+full_range = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 
 
 class TestEnergyLevel:
     def test_unit_well_ground_state(self, unit_well):
-        level = energy_level(unit_well, 1)
-        assert level == (0.5, 0.25, 0.75)
+        level = levels(unit_well, 1)
+        assert (level.energy_fp, level.energy_ho, level.energy_total) == (0.5, 0.25, 0.75)
 
     def test_unit_well_third_level(self, unit_well):
-        level = energy_level(unit_well, 3)
-        assert level == (4.5, 1.25, 5.75)
+        level = levels(unit_well, 3)
+        assert (level.energy_fp, level.energy_ho, level.energy_total) == (4.5, 1.25, 5.75)
 
     def test_box_is_pure_quadratic(self):
         params = PTParameters(mass=1.0, well_depth=0.0, half_width=2.0)
         kinetic = derive_kinetic(params)
-        level = energy_level(params, 2)
-        assert level.ho == 0.0
-        assert level.total == 4.0 * kinetic
+        level = levels(params, 2)
+        assert level.energy_ho == 0.0
+        assert level.energy_total == 4.0 * kinetic
 
     def test_rejects_bad_quantum_number(self, unit_well):
-        for bad in (0, -3, 1.5, True):
+        for bad in (0, -3, 1.5, True, np.array([1, 0]), np.array([1.0, 2.0]), 2**64):
             with pytest.raises(InvalidParameterError):
-                energy_level(unit_well, bad)
+                levels(unit_well, bad)
+
+
+class TestLevels:
+    @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
+    def test_array_matches_scalar_bit_for_bit(self, request, well):
+        params = request.getfixturevalue(well)
+        columns = levels(params, np.arange(1, 201))
+        for n, row in enumerate(zip(*(column.tolist() for column in columns)), start=1):
+            scalar = levels(params, n)
+            assert [type(value) for value in scalar] == [int] + [float] * 7 + [str]
+            bits = [_bits(value) for value in row]
+            assert bits == [_bits(value) for value in scalar]
+            assert bits == [_bits(value) for value in _loop_level(params, n)]
+
+    def test_fields_are_the_table_columns(self, unit_well):
+        assert Levels._fields == (
+            "n", "energy_fp", "energy_ho", "energy_total", "pressure_fp", "pressure_ho",
+            "pressure_total", "regime_ratio", "regime_label",
+        )
+        assert levels(unit_well, np.arange(1, 4)).n.tolist() == [1, 2, 3]
+
+
+def _bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _loop_level(params: PTParameters, n: int) -> tuple:
+    """The closed forms in Python floats, one level at a time, with the
+    kernel's order of operations: the reference it must match exactly."""
+    s = derive_scales(params)
+    inv_l = 1.0 / params.half_width
+    e_fp = s.kinetic_scale * n * n
+    e_ho = s.oscillator_quantum * (n - 0.5)
+    p_fp = 2.0 * inv_l * e_fp
+    p_ho = 2.0 * inv_l * e_ho - inv_l * s.kinetic_scale * s.psi_factor * (n - 0.5)
+    eta = n * n / (s.lambda_exact * (n - 0.5)) if s.lambda_exact else math.inf
+    label = HO_DOMINATED if eta < 0.5 else FP_DOMINATED if eta >= 2.0 else CROSSOVER
+    return (n, e_fp, e_ho, e_fp + e_ho, p_fp, p_ho, p_fp + p_ho, eta, label)
 
 
 def derive_kinetic(params: PTParameters) -> float:
@@ -52,84 +94,92 @@ class TestNonFiniteTotals:
     def test_overflowing_levels_are_domain_errors(self):
         # T is about 1.2e300 here: n^2 T overflows near n = 1.2e4, and the
         # pressure parts scale by 1/L = 1e150 (inf - inf for the well).
+        # The energy is named first, so a pressure error shows that the
+        # energy of that level is finite.
         narrow_box = PTParameters(1.0, 0.0, 1e-150)
         narrow_deep = PTParameters(1.0, 1e300, 1e-150)
-        assert math.isfinite(energy_level(narrow_deep, 1).total)
-        with pytest.raises(DomainError):
-            energy_level(narrow_box, 20000)
-        with pytest.raises(DomainError):
-            pressure_level(narrow_box, 1)
-        with pytest.raises(DomainError):
-            pressure_level(narrow_deep, 1)
+        with pytest.raises(DomainError, match="^pressure of level 1 "):
+            levels(narrow_deep, 1)
+        with pytest.raises(DomainError, match="^energy of level 20000 "):
+            levels(narrow_box, 20000)
+        with pytest.raises(DomainError, match="^pressure of level 1 "):
+            levels(narrow_box, 1)
+
+    def test_first_failing_level_is_named(self):
+        narrow_box = PTParameters(1.0, 0.0, 1e-150)
+        with pytest.raises(DomainError, match="^pressure of level 3 "):
+            levels(narrow_box, np.array([3, 20000]))
+        with pytest.raises(DomainError, match=r"^energy of level 20000 .*\(total inf\)$"):
+            levels(narrow_box, np.array([20000, 3]))
 
 
 class TestPressureLevel:
     def test_unit_well_ground_state(self, unit_well):
-        pressure = pressure_level(unit_well, 1)
-        assert pressure.fp == pytest.approx(2 / math.pi, rel=1e-14)
-        assert pressure.ho == pytest.approx(0.25 / math.pi, rel=1e-14)
-        assert pressure.total == pytest.approx(2.25 / math.pi, rel=1e-14)
+        level = levels(unit_well, 1)
+        assert level.pressure_fp == pytest.approx(2 / math.pi, rel=1e-14)
+        assert level.pressure_ho == pytest.approx(0.25 / math.pi, rel=1e-14)
+        assert level.pressure_total == pytest.approx(2.25 / math.pi, rel=1e-14)
 
     def test_box_equation_of_state_is_exact(self, box):
         # L = 1, so P = 2 E / L holds bit for bit.
         for n in (1, 2, 5):
-            energy = energy_level(box, n)
-            pressure = pressure_level(box, n)
-            assert pressure.total == 2.0 * energy.total
-            assert pressure.total * box.half_width / energy.total == 2.0
-        assert pressure_level(box, 1).total == pytest.approx(math.pi**2 / 4, rel=1e-15)
+            level = levels(box, n)
+            assert level.pressure_total == 2.0 * level.energy_total
+            assert level.pressure_total * box.half_width / level.energy_total == 2.0
+        assert levels(box, 1).pressure_total == pytest.approx(math.pi**2 / 4, rel=1e-15)
 
     def test_wide_well_near_linear_equation_of_state(self, wide_well):
-        energy = energy_level(wide_well, 1)
-        pressure = pressure_level(wide_well, 1)
-        assert pressure.total == pytest.approx(energy.total / wide_well.half_width, rel=2e-2)
+        level = levels(wide_well, 1)
+        assert level.pressure_total == pytest.approx(
+            level.energy_total / wide_well.half_width, rel=2e-2
+        )
 
     def test_matches_width_derivative(self, unit_well, wide_well, shallow_well, box):
         # Hellmann-Feynman: closed-form pressure equals -dE/dL.
         for params in (unit_well, wide_well, shallow_well, box):
             for n in range(1, 21):
                 numeric = numerical_pressure(params, n, relative_step=1e-4)
-                closed = pressure_level(params, n).total
+                closed = levels(params, n).pressure_total
                 assert closed == pytest.approx(numeric, rel=1e-8)
 
     @given(mass=positive, depth=positive, half_width=positive, n=st.integers(1, 40))
     @settings(max_examples=100)
     def test_components_positive(self, mass, depth, half_width, n):
-        pressure = pressure_level(PTParameters(mass, depth, half_width), n)
-        assert pressure.fp > 0.0
-        assert pressure.ho >= 0.0
+        level = levels(PTParameters(mass, depth, half_width), n)
+        assert level.pressure_fp > 0.0
+        assert level.pressure_ho >= 0.0
 
 
 class TestRegimeRatio:
     def test_unit_well_threshold_case(self, unit_well):
         # eta_1 = 1 / (1 * 0.5) = 2, on the box-dominated threshold.
-        ratio = regime_ratio(unit_well, 1)
-        assert ratio.eta == 2.0
-        assert ratio.label == FP_DOMINATED
+        level = levels(unit_well, 1)
+        assert level.regime_ratio == 2.0
+        assert level.regime_label == FP_DOMINATED
 
     def test_unit_well_high_level(self, unit_well):
-        ratio = regime_ratio(unit_well, 10)
-        assert ratio.eta == pytest.approx(100 / 9.5, rel=1e-15)
-        assert ratio.label == FP_DOMINATED
+        level = levels(unit_well, 10)
+        assert level.regime_ratio == pytest.approx(100 / 9.5, rel=1e-15)
+        assert level.regime_label == FP_DOMINATED
 
     def test_wide_well_ground_state_is_oscillator_like(self, wide_well):
-        ratio = regime_ratio(wide_well, 1)
-        assert ratio.eta == pytest.approx(0.010050126, rel=1e-6)
-        assert ratio.label == HO_DOMINATED
+        level = levels(wide_well, 1)
+        assert level.regime_ratio == pytest.approx(0.010050126, rel=1e-6)
+        assert level.regime_label == HO_DOMINATED
 
     def test_crossover_window(self):
         # lambda = 1: eta_2 = 4 / 1.5 = 8/3 > 2 but eta with lambda = 4
         # at n = 3: 9 / (4 * 2.5) = 0.9 lands in the window.
         params = PTParameters(mass=1.0, well_depth=3.0, half_width=math.pi / 2)
         assert derive_lambda(params) == pytest.approx(4.0, rel=1e-14)
-        ratio = regime_ratio(params, 3)
-        assert ratio.eta == pytest.approx(0.9, rel=1e-13)
-        assert ratio.label == CROSSOVER
+        level = levels(params, 3)
+        assert level.regime_ratio == pytest.approx(0.9, rel=1e-13)
+        assert level.regime_label == CROSSOVER
 
     def test_box_sentinel(self, box):
-        ratio = regime_ratio(box, 4)
-        assert ratio.eta == math.inf
-        assert ratio.label == FP_DOMINATED
+        level = levels(box, 4)
+        assert level.regime_ratio == math.inf
+        assert level.regime_label == FP_DOMINATED
 
     @given(depth=positive, half_width=positive, n=st.integers(1, 60))
     @settings(max_examples=150)
@@ -137,7 +187,7 @@ class TestRegimeRatio:
         # eta_n * lambda / n - 1 == 1 / (2n - 1), exactly in algebra.
         params = PTParameters(1.0, depth, half_width)
         lam = derive_lambda(params)
-        eta = regime_ratio(params, n).eta
+        eta = levels(params, n).regime_ratio
         assert abs(eta * lam / n - 1.0) == pytest.approx(1.0 / (2 * n - 1), rel=1e-11)
 
 
@@ -150,11 +200,10 @@ class TestSpectrumTable:
     def test_single_row_consistency(self, unit_well):
         table = spectrum_table(unit_well, 1)
         row = table.rows[0]
-        energy = energy_level(unit_well, 1)
-        pressure = pressure_level(unit_well, 1)
-        assert (row.energy_fp, row.energy_ho, row.energy_total) == tuple(energy)
-        assert (row.pressure_fp, row.pressure_ho, row.pressure_total) == tuple(pressure)
-        assert row.regime_ratio == regime_ratio(unit_well, 1).eta
+        level = levels(unit_well, 1)
+        assert (row.energy_fp, row.energy_ho, row.energy_total) == level[1:4]
+        assert (row.pressure_fp, row.pressure_ho, row.pressure_total) == level[4:7]
+        assert row.regime_ratio == level.regime_ratio
 
     def test_unit_well_energies(self, unit_well):
         table = spectrum_table(unit_well, 3)
@@ -181,3 +230,24 @@ class TestSpectrumTable:
         table = spectrum_table(PTParameters(1.0, depth, math.pi / 2), 200)
         signs = [row.energy_fp - row.energy_ho > 0 for row in table.rows]
         assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) <= 1
+
+    @pytest.mark.filterwarnings("error")
+    @given(
+        mass=full_range,
+        depth=st.one_of(st.just(0.0), full_range),
+        half_width=full_range,
+        hbar=full_range,
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_full_float_range_is_ordered_and_finite_or_typed_error(
+        self, mass, depth, half_width, hbar
+    ):
+        try:
+            table = spectrum_table(PTParameters(mass, depth, half_width, hbar), 50)
+        except PTOscillatorError:
+            return
+        energies = np.array([row.energy_total for row in table.rows])
+        pressures = np.array([row.pressure_total for row in table.rows])
+        assert np.all(np.isfinite(energies))
+        assert np.all(np.diff(energies) > 0.0)
+        assert np.all(np.isfinite(pressures))
