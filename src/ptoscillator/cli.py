@@ -3,11 +3,15 @@ approximation comparisons and oracle validation runs.
 
 Each subcommand returns ``(status, meta, columns, rows)``; one writer
 renders that as CSV (a header of the column names, one line per row)
-or as canonical JSON (``meta`` plus ``rows``, one object per row).  A
-``--config`` file is turned into ``--key=value`` tokens and parsed by
-the same subparser as the flags, so its values are checked exactly like
-flags; keys that only other subcommands take are ignored, and flags
-given on the command line win.
+or as canonical JSON (``meta`` plus ``rows``, one object per row).
+
+The argument parser is the only option path: each subparser declares
+its defaults once, and the subcommands read the parsed namespace.  A
+``--config`` file is turned into ``--key=value`` tokens, placed right
+after the command word and parsed in one pass together with the flags,
+so its values are checked exactly like flags and a flag, parsed later,
+wins.  The legal keys are the long options the subparsers declare; keys
+that only other subcommands take are ignored.
 
 Exit status: 0 success, 2 usage error (including an unwritable
 ``--output``), 3 domain or precondition error, 4 validation tolerance
@@ -20,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,7 @@ from . import limits, oracle, perturbation, semiclassical, spectra
 from .errors import InvalidParameterError, PTOscillatorError, ResourceLimitError
 from .parameters import PTParameters, derive_scales
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,25 +49,6 @@ _VALIDATE_COLUMNS = (
 
 _PRESSURE_TOLERANCE = 1e-8
 _PRESSURE_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated inputs of one subcommand run."""
-
-    command: str
-    parameters: PTParameters
-    n_max: int = 10
-    fmt: str = "csv"
-    output: str | None = None
-    sweep_var: str | None = None
-    sweep_from: float | None = None
-    sweep_to: float | None = None
-    steps: int | None = None
-    method: str | None = None
-    grid_n: int = 4000
-    levels: int = 5
-    tolerance: float = 1e-6
 
 
 def _fmt(value: float) -> str:
@@ -122,63 +107,62 @@ def _render(fmt: str, meta: dict, columns: tuple[str, ...], rows: list) -> str:
 # option plumbing
 
 
-# Every option name a config file may use; a key outside this set is a
-# usage error, a key that only other subcommands take is ignored.
-_CONFIG_KEYS = {
-    "mass", "well-depth", "half-width", "hbar", "format", "output", "n-max",
-    "sweep-var", "from", "to", "steps", "method", "grid-n", "levels", "tolerance",
-}
-
-
-def _build_parser(allow_abbrev: bool = True) -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="ptoscillator",
         description="Energy and pressure spectra of the confined Poschl-Teller oscillator.",
-        allow_abbrev=allow_abbrev,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help, allow_abbrev=allow_abbrev)
-        p.add_argument("--mass", type=float, default=None, help="particle mass (default 1)")
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--mass", type=float, default=1.0, help="particle mass (default 1)")
         p.add_argument(
-            "--well-depth", type=float, default=None, help="well intensity V0 (default 0)"
+            "--well-depth", type=float, default=0.0, help="well intensity V0 (default 0)"
         )
-        p.add_argument("--half-width", type=float, default=None, help="confinement half-width L")
-        p.add_argument("--hbar", type=float, default=None, help="quantum of action (default 1)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-        p.add_argument("--output", default=None, help="write the table here instead of stdout")
-        p.add_argument("--config", default=None, help="key-value config file; flags win")
+        p.add_argument("--half-width", type=float, help="confinement half-width L")
+        p.add_argument("--hbar", type=float, default=1.0, help="quantum of action (default 1)")
+        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        p.add_argument("--output", help="write the table here instead of stdout")
+        p.add_argument("--config", help="key-value config file; flags win")
         return p
 
     p_spectrum = add_command("spectrum", "exact energy and pressure table")
-    p_spectrum.add_argument("--n-max", type=int, default=None, help="levels 1..n-max (default 10)")
+    p_spectrum.add_argument("--n-max", type=int, default=10, help="levels 1..n-max (default 10)")
 
     p_sweep = add_command("sweep", "single-level quantities along a parameter sweep")
-    p_sweep.add_argument("--sweep-var", choices=("half-width", "well-depth"), default=None)
-    p_sweep.add_argument("--from", dest="sweep_from", type=float, default=None)
-    p_sweep.add_argument("--to", dest="sweep_to", type=float, default=None)
-    p_sweep.add_argument("--steps", type=int, default=None, help="sweep points (>= 2)")
-    p_sweep.add_argument("--n-max", type=int, default=None, help="fixed level n (default 1)")
+    p_sweep.add_argument("--sweep-var", choices=("half-width", "well-depth"))
+    p_sweep.add_argument("--from", dest="sweep_from", type=float)
+    p_sweep.add_argument("--to", dest="sweep_to", type=float)
+    p_sweep.add_argument("--steps", type=int, help="sweep points (>= 2)")
+    p_sweep.add_argument("--n-max", type=int, default=1, help="fixed level n (default 1)")
 
     p_cmp = add_command("compare", "exact levels vs an approximation")
     p_cmp.add_argument(
-        "--method",
-        choices=("fp-limit", "ho-limit", "semiclassical", "perturbation"),
-        default=None,
+        "--method", choices=("fp-limit", "ho-limit", "semiclassical", "perturbation")
     )
-    p_cmp.add_argument("--n-max", type=int, default=None, help="levels 1..n-max (default 10)")
+    p_cmp.add_argument("--n-max", type=int, default=10, help="levels 1..n-max (default 10)")
 
     p_val = add_command("validate", "closed forms vs the finite-difference oracle")
-    p_val.add_argument("--grid-n", type=int, default=None, help="base interior points (default 4000)")
-    p_val.add_argument("--levels", type=int, default=None, help="levels to check (default 5)")
     p_val.add_argument(
-        "--tolerance", type=float, default=None, help="relative energy tolerance (default 1e-6)"
+        "--grid-n", type=int, default=4000, help="base interior points (default 4000)"
     )
-    return parser
+    p_val.add_argument("--levels", type=int, default=5, help="levels to check (default 5)")
+    p_val.add_argument(
+        "--tolerance", type=float, default=1e-6, help="relative energy tolerance (default 1e-6)"
+    )
+    return parser, sub.choices
 
 
-def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
+def _declared_keys(p: argparse.ArgumentParser) -> set[str]:
+    """The long option names ``p`` declares, bar help and config."""
+    options = {option for action in p._actions for option in action.option_strings}
+    return {option[2:] for option in options if option.startswith("--")} - {"help", "config"}
+
+
+def _load_config_file(
+    parser: argparse.ArgumentParser, path: str, keys: set[str]
+) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -194,63 +178,33 @@ def _load_config_file(parser: argparse.ArgumentParser, path: str) -> dict[str, s
             key, _, value = line.partition(" ")
         key = key.strip().lstrip("-").replace("_", "-").lower()
         value = value.strip()
-        if key not in _CONFIG_KEYS or not value:
+        if key not in keys or not value:
             parser.error(f"config file {path!r} line {lineno}: unknown or empty entry {raw!r}")
         values[key] = value
     return values
 
 
-def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Fill the options still unset from ``--config``, parsed like flags.
+def _parse(
+    parser: argparse.ArgumentParser, commands: dict[str, argparse.ArgumentParser], argv: list[str]
+) -> argparse.Namespace:
+    """Parse the flags and, with ``--config``, the file's entries with them.
 
-    Each entry becomes one ``--key=value`` token, so a value starting
-    with '-' stays a value.  Abbreviations are off for this parse: the
-    key ``to`` must not match ``--tolerance`` of ``validate``.
+    Each entry this subcommand declares becomes one ``--key=value``
+    token, so a value starting with '-' stays a value; the tokens go
+    right after the command word, so a flag, parsed later, wins.  A key
+    that only other subcommands declare is dropped, one that none
+    declares is a usage error.
     """
-    if not args.config:
-        return
-    tokens = [f"--{key}={value}" for key, value in _load_config_file(parser, args.config).items()]
-    file_args, _ = _build_parser(allow_abbrev=False).parse_known_args([args.command, *tokens])
-    for dest, value in vars(file_args).items():
-        if value is not None and getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
-def _build_run_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
-    _merge_config(parser, args)
-    sweep_var = getattr(args, "sweep_var", None)
-    needs_half_width = not (args.command == "sweep" and sweep_var == "half-width")
-    half_width = args.half_width
-    if half_width is None:
-        if needs_half_width:
-            parser.error("the following arguments are required: --half-width")
-        half_width = 1.0  # placeholder, replaced at every sweep point
-    params = PTParameters(
-        mass=args.mass if args.mass is not None else 1.0,
-        well_depth=args.well_depth if args.well_depth is not None else 0.0,
-        half_width=half_width,
-        hbar=args.hbar if args.hbar is not None else 1.0,
-    )
-    def pick(name: str, default):
-        value = getattr(args, name, None)
-        return default if value is None else value
-
-    default_n = 1 if args.command == "sweep" else 10
-    return RunConfig(
-        command=args.command,
-        parameters=params,
-        n_max=pick("n_max", default_n),
-        fmt=args.fmt or "csv",
-        output=args.output,
-        sweep_var=sweep_var,
-        sweep_from=getattr(args, "sweep_from", None),
-        sweep_to=getattr(args, "sweep_to", None),
-        steps=getattr(args, "steps", None),
-        method=getattr(args, "method", None),
-        grid_n=pick("grid_n", 4000),
-        levels=pick("levels", 5),
-        tolerance=pick("tolerance", 1e-6),
-    )
+    args = parser.parse_args(argv)
+    if args.config:
+        keys = {command: _declared_keys(p) for command, p in commands.items()}
+        entries = _load_config_file(parser, args.config, set().union(*keys.values()))
+        tokens = [f"--{key}={value}" for key, value in entries.items() if key in keys[args.command]]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+    if args.half_width is None and not (args.command == "sweep" and args.sweep_var == "half-width"):
+        parser.error("the following arguments are required: --half-width")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -269,37 +223,37 @@ def _scales_document(scales) -> dict:
     }
 
 
-def cmd_spectrum(config: RunConfig):
-    table = spectra.spectrum_table(config.parameters, config.n_max)
+def cmd_spectrum(args: argparse.Namespace, params: PTParameters):
+    table = spectra.spectrum_table(params, args.n_max)
     return EXIT_OK, {"scales": _scales_document(table.scales)}, _SPECTRUM_COLUMNS, table.rows
 
 
-def cmd_sweep(config: RunConfig):
-    if config.sweep_var is None:
+def cmd_sweep(args: argparse.Namespace, params: PTParameters):
+    if args.sweep_var is None:
         raise InvalidParameterError("sweep requires --sweep-var")
-    if config.sweep_from is None or config.sweep_to is None:
+    if args.sweep_from is None or args.sweep_to is None:
         raise InvalidParameterError("sweep requires --from and --to")
-    if not (math.isfinite(config.sweep_from) and math.isfinite(config.sweep_to)):
+    if not (math.isfinite(args.sweep_from) and math.isfinite(args.sweep_to)):
         raise InvalidParameterError("sweep requires finite --from and --to")
-    if config.steps is None or config.steps < 2:
+    if args.steps is None or args.steps < 2:
         raise InvalidParameterError("sweep requires --steps >= 2")
-    if config.steps > spectra.MAX_TABLE_LEVELS:
+    if args.steps > spectra.MAX_TABLE_LEVELS:
         raise ResourceLimitError(
-            f"--steps {config.steps} exceeds the maximum {spectra.MAX_TABLE_LEVELS}"
+            f"--steps {args.steps} exceeds the maximum {spectra.MAX_TABLE_LEVELS}"
         )
-    if not config.sweep_from < config.sweep_to:
+    if not args.sweep_from < args.sweep_to:
         raise InvalidParameterError("sweep requires --from < --to")
-    field = config.sweep_var.replace("-", "_")
-    n = config.n_max
+    field = args.sweep_var.replace("-", "_")
+    n = args.n_max
     rows = []
-    for value in np.linspace(config.sweep_from, config.sweep_to, config.steps):
-        params = replace(config.parameters, **{field: float(value)})
-        scales = derive_scales(params)
-        level = spectra.levels(params, n, scales)
-        s_eff = level.pressure_total * params.half_width / level.energy_total
+    for value in np.linspace(args.sweep_from, args.sweep_to, args.steps):
+        point = replace(params, **{field: float(value)})
+        scales = derive_scales(point)
+        level = spectra.levels(point, n, scales)
+        s_eff = level.pressure_total * point.half_width / level.energy_total
         rows.append((float(value), scales.lambda_exact, scales.oscillator_quantum,
                      level.energy_total, level.pressure_total, s_eff, scales.n_critical))
-    return EXIT_OK, {"sweep_var": config.sweep_var, "n": n}, _SWEEP_COLUMNS, rows
+    return EXIT_OK, {"sweep_var": args.sweep_var, "n": n}, _SWEEP_COLUMNS, rows
 
 
 def _approximation_for(method: str, params: PTParameters):
@@ -312,13 +266,12 @@ def _approximation_for(method: str, params: PTParameters):
     return lambda n: perturbation.perturbed_energy(params, n).total
 
 
-def cmd_compare(config: RunConfig):
-    if config.method is None:
+def cmd_compare(args: argparse.Namespace, params: PTParameters):
+    if args.method is None:
         raise InvalidParameterError("compare requires --method")
-    params = config.parameters
-    numeric_column = config.method == "semiclassical"
-    approximate = _approximation_for(config.method, params)
-    exact_energies = spectra.levels(params, spectra.level_range(config.n_max)).energy_total
+    numeric_column = args.method == "semiclassical"
+    approximate = _approximation_for(args.method, params)
+    exact_energies = spectra.levels(params, spectra.level_range(args.n_max)).energy_total
     rows = []
     for n, exact in enumerate(exact_energies.tolist(), start=1):
         approx = approximate(n)
@@ -328,20 +281,19 @@ def cmd_compare(config: RunConfig):
             row += (semiclassical.qc_energy_numeric(params, n),)
         rows.append(row)
     columns = _COMPARE_COLUMNS + (("E_qc_numeric",) if numeric_column else ())
-    return EXIT_OK, {"method": config.method}, columns, rows
+    return EXIT_OK, {"method": args.method}, columns, rows
 
 
-def cmd_validate(config: RunConfig):
-    if not (math.isfinite(config.tolerance) and config.tolerance > 0.0):
+def cmd_validate(args: argparse.Namespace, params: PTParameters):
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0.0):
         raise InvalidParameterError(
-            f"--tolerance must be positive and finite, got {config.tolerance!r}"
+            f"--tolerance must be positive and finite, got {args.tolerance!r}"
         )
-    params = config.parameters
     grid = oracle.GridSpec(
-        interior_points=config.grid_n, richardson_levels=3, level_count=config.levels
+        interior_points=args.grid_n, richardson_levels=3, level_count=args.levels
     )
     numeric = oracle.solve_eigenvalues(params, grid)
-    closed = spectra.levels(params, np.arange(1, config.levels + 1))
+    closed = spectra.levels(params, np.arange(1, args.levels + 1))
     all_ok = True
     rows = []
     for n, closed_energy, closed_pressure in zip(
@@ -351,13 +303,13 @@ def cmd_validate(config: RunConfig):
         energy_err = abs(numeric_energy - closed_energy) / abs(closed_energy)
         numeric_pressure = oracle.numerical_pressure(params, n, relative_step=_PRESSURE_STEP)
         pressure_err = abs(numeric_pressure - closed_pressure) / abs(closed_pressure)
-        if energy_err > config.tolerance or pressure_err > _PRESSURE_TOLERANCE:
+        if energy_err > args.tolerance or pressure_err > _PRESSURE_TOLERANCE:
             all_ok = False
         rows.append((n, closed_energy, numeric_energy, energy_err,
                      closed_pressure, numeric_pressure, pressure_err))
     meta = {
         "passed": all_ok,
-        "tolerance_energy": config.tolerance,
+        "tolerance_energy": args.tolerance,
         "tolerance_pressure": _PRESSURE_TOLERANCE,
     }
     return EXIT_OK if all_ok else EXIT_TOLERANCE, meta, _VALIDATE_COLUMNS, rows
@@ -372,20 +324,25 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(*_build_parser(), sys.argv[1:] if argv is None else list(argv))
     try:
-        config = _build_run_config(parser, args)
-        status, meta, columns, rows = _COMMANDS[args.command](config)
+        params = PTParameters(
+            mass=args.mass,
+            well_depth=args.well_depth,
+            # a half-width sweep replaces this placeholder at every point
+            half_width=1.0 if args.half_width is None else args.half_width,
+            hbar=args.hbar,
+        )
+        status, meta, columns, rows = _COMMANDS[args.command](args, params)
     except PTOscillatorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    text = _render(config.fmt, meta, columns, rows)
-    if config.output:
+    text = _render(args.fmt, meta, columns, rows)
+    if args.output:
         try:
-            Path(config.output).write_text(text, encoding="utf-8", newline="\n")
+            Path(args.output).write_text(text, encoding="utf-8", newline="\n")
         except OSError as exc:
-            print(f"error: cannot write {config.output!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.output!r}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
         sys.stdout.write(text)

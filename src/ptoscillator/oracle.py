@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from .errors import ConvergenceError, InvalidParameterError, ResourceLimitError
-from .parameters import PTParameters, check_level, potential
+from .errors import ConvergenceError, DomainError, InvalidParameterError, ResourceLimitError
+from .parameters import PTParameters, check_single_level, potential
 from .spectra import levels
 
 __all__ = [
@@ -107,7 +107,7 @@ def _fd_hamiltonian(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Potential at the interior nodes, diagonal and off-diagonal of the
     finite-difference Hamiltonian on ``n_points`` nodes, checked to hold
-    ``count`` levels."""
+    ``count`` levels and to be finite."""
     if count > n_points:
         raise InvalidParameterError(
             f"cannot request {count} eigenvalues from a grid of {n_points} points"
@@ -117,6 +117,10 @@ def _fd_hamiltonian(
     kinetic = params.hbar**2 / (2.0 * params.mass * spacing**2)
     values = potential(params, nodes)
     diagonal = 2.0 * kinetic + values
+    if not (np.isfinite(kinetic) and np.isfinite(diagonal).all()):
+        raise DomainError(
+            f"finite-difference Hamiltonian on {n_points} points leaves the floating-point range"
+        )
     off_diagonal = np.full(n_points - 1, -kinetic)
     return values, diagonal, off_diagonal
 
@@ -196,7 +200,7 @@ def numerical_pressure(
     extrapolated like the eigenvalues, which makes the check fully
     independent of the closed forms.
     """
-    check_level(n)
+    check_single_level(n)
     if not _STEP_MIN <= relative_step <= _STEP_MAX:
         raise InvalidParameterError(
             f"relative_step must lie in [{_STEP_MIN}, {_STEP_MAX}], got {relative_step!r}"
@@ -243,10 +247,10 @@ def convergence_study(
     """Fit per-level convergence slopes over a sequence of grids."""
     if len(grid_sizes) < 2:
         raise InvalidParameterError("at least two grid sizes are required")
-    if any(size < _MIN_GRID_POINTS for size in grid_sizes):
-        raise InvalidParameterError(f"every grid size must be >= {_MIN_GRID_POINTS}")
-    if level_count < 1:
-        raise InvalidParameterError(f"level_count must be >= 1, got {level_count!r}")
+    for size in grid_sizes:
+        GridSpec(size, richardson_levels=1, level_count=level_count)
+    if len(set(grid_sizes)) < len(grid_sizes):
+        raise InvalidParameterError(f"grid sizes must be distinct, got {grid_sizes!r}")
     closed = levels(params, np.arange(1, level_count + 1)).energy_total
     spacings = []
     errors = []

@@ -97,6 +97,13 @@ def check_level(n) -> np.ndarray:
     return array
 
 
+def check_single_level(n) -> None:
+    """:func:`check_level` for the functions of one level: an int array
+    is rejected too."""
+    if check_level(n).ndim:
+        raise InvalidParameterError(f"expected a single quantum number, got {n!r}")
+
+
 def check_finite(quantity: str, n, total: float) -> None:
     """Raise :class:`DomainError` when ``total``, the ``quantity`` of
     level ``n``, is not finite."""

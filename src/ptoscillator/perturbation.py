@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError, InvalidParameterError
-from .parameters import PTParameters, check_finite, check_level, derive_scales
+from .parameters import PTParameters, check_finite, check_single_level, derive_scales
 
 __all__ = [
     "TAN_SQUARED_COEFFICIENTS",
@@ -64,7 +64,7 @@ def perturbed_energy(params: PTParameters, n: int) -> PerturbedEnergy:
 
     Raises :class:`DomainError` when the total is not finite.
     """
-    check_level(n)
+    check_single_level(n)
     scales = derive_scales(params)
     kinetic = scales.kinetic_scale
     omega_quantum = 2.0 * math.sqrt(params.well_depth * kinetic)

@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     QuadratureError,
 )
-from .parameters import PTParameters, check_level, derive_scales
+from .parameters import PTParameters, check_level, check_single_level, derive_scales
 
 __all__ = [
     "ActionEvaluation",
@@ -139,6 +139,7 @@ def qc_energy_numeric(params: PTParameters, n: int) -> float:
     The action is strictly increasing in E, so the root is unique; the
     bracket comes from the closed form widened by 50% each way.
     """
+    check_single_level(n)
     closed = qc_energy_closed(params, n)
     target = 2.0 * math.pi * params.hbar * (n - 0.5)
 

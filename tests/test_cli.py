@@ -13,6 +13,18 @@ UNIT_WELL_FLAGS = [
 ]
 
 
+def config_options():
+    """Every long option a subcommand declares, bar help and config."""
+    _, commands = cli._build_parser()
+    return [
+        pytest.param(command, action, option, id=f"{command}{option}")
+        for command, parser in commands.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option not in ("--help", "--config")
+    ]
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -212,6 +224,7 @@ class TestFloatRangeGuard:
              "--method", "perturbation", "--n-max", "2"],
             ["compare", "--half-width", "1e-5", "--well-depth", "1e300",
              "--method", "perturbation", "--n-max", "2"],
+            ["validate", "--mass", "1e-300", "--well-depth", "1", "--half-width", "1e-5"],
         ],
     )
     def test_overflowing_scales_are_domain_errors(self, capsys, argv):
@@ -393,6 +406,33 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["spectrum", "--config", str(tmp_path / "absent.cfg")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, action, option", config_options())
+    def test_every_declared_option_is_a_key(self, tmp_path, command, action, option):
+        if action.choices:
+            value = action.choices[-1]
+        elif action.type is int:
+            value = 3
+        elif action.type is float:
+            value = 0.5
+        else:
+            value = "table.csv"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"half-width = 1\n{option[2:]} = {value}\n", encoding="utf-8")
+        parser, commands = cli._build_parser()
+        args = cli._parse(parser, commands, [command, "--config", str(config)])
+        assert getattr(args, action.dest) == value != action.default
+
+    def test_config_sweep_of_half_width_needs_no_flag(self, capsys, tmp_path):
+        # the file is merged before the check that --half-width is given
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "well-depth = 0.5\nsweep-var = half-width\nfrom = 1\nto = 3\nsteps = 4\n",
+            encoding="utf-8",
+        )
+        code, out = run_cli(capsys, ["sweep", "--config", str(config)])
+        assert code == 0
+        assert len(out.splitlines()) == 5
 
 
 class TestFloatFormat:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ptoscillator import (
+    DomainError,
     GridSpec,
     InvalidParameterError,
     PTParameters,
@@ -187,3 +188,28 @@ class TestConvergenceStudy:
     def test_requires_minimum_size(self, unit_well):
         with pytest.raises(InvalidParameterError):
             convergence_study(unit_well, [32, 1000], level_count=2)
+
+    def test_grid_beyond_resource_limit(self, unit_well):
+        with pytest.raises(ResourceLimitError):
+            convergence_study(unit_well, [64, 300_000], level_count=1)
+
+    def test_duplicate_sizes_rejected(self, unit_well):
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            convergence_study(unit_well, [64, 64], level_count=1)
+
+    def test_requires_a_level(self, unit_well):
+        with pytest.raises(InvalidParameterError):
+            convergence_study(unit_well, [500, 1000], level_count=0)
+
+
+class TestNonFiniteHamiltonian:
+    # kinetic scale hbar^2 / (2 m h^2) overflows to inf
+    params = PTParameters(mass=1e-300, well_depth=1.0, half_width=1e-5)
+
+    def test_eigensolve_is_domain_error(self):
+        with pytest.raises(DomainError):
+            solve_eigenvalues(self.params, GridSpec(64))
+
+    def test_pressure_is_domain_error(self):
+        with pytest.raises(DomainError):
+            numerical_pressure(self.params, 1, use_eigenvalues=True)

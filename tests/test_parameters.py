@@ -11,7 +11,10 @@ from ptoscillator import (
     InvalidParameterError,
     PTParameters,
     derive_scales,
+    numerical_pressure,
+    perturbed_energy,
     potential,
+    qc_energy_numeric,
 )
 
 mp.mp.dps = 50
@@ -185,3 +188,18 @@ class TestPotential:
             potential(unit_well, unit_well.half_width)
         with pytest.raises(DomainError):
             potential(unit_well, np.array([0.0, -unit_well.half_width]))
+
+
+class TestSingleLevelCheck:
+    @pytest.mark.parametrize(
+        "one_level",
+        [
+            perturbed_energy,
+            qc_energy_numeric,
+            lambda params, n: numerical_pressure(params, n, use_eigenvalues=True),
+        ],
+        ids=["perturbed_energy", "qc_energy_numeric", "numerical_pressure"],
+    )
+    def test_array_level_is_invalid_parameter(self, unit_well, one_level):
+        with pytest.raises(InvalidParameterError):
+            one_level(unit_well, np.array([1, 2]))
