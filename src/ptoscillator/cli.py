@@ -196,7 +196,7 @@ def _parse(
     declares is a usage error.
     """
     args = parser.parse_args(argv)
-    if args.config:
+    if args.config is not None:
         keys = {command: _declared_keys(p) for command, p in commands.items()}
         entries = _load_config_file(parser, args.config, set().union(*keys.values()))
         tokens = [f"--{key}={value}" for key, value in entries.items() if key in keys[args.command]]

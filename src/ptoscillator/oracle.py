@@ -6,6 +6,8 @@ lowest eigenvalues are computed by bisection on Sturm sequences (LAPACK,
 via scipy).  The hard walls are imposed by excluding the endpoints, so
 every sampled potential value is finite and the divergence of tan^2
 near the walls enforces decay on its own; no capping is applied.
+scipy is imported on the first solver call, so programs that use only
+the closed forms never load it.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the leading
 h^2 (and h^4) error terms.  Level pressures come from the Hellmann-Feynman
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .errors import ConvergenceError, DomainError, InvalidParameterError, ResourceLimitError
 from .parameters import PTParameters, check_single_level, potential
@@ -126,23 +127,27 @@ def _fd_hamiltonian(
 
 
 def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> np.ndarray:
+    from scipy.linalg import eigh_tridiagonal
+
     _, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, count)
     try:
         return eigh_tridiagonal(
             diagonal, off_diagonal, select="i", select_range=(0, count - 1), eigvals_only=True
         )
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigenvalue iteration failed: {exc}") from exc
 
 
 def _fd_pressure(params: PTParameters, n_points: int, n: int) -> float:
     """Exact -dE_h/dL of level ``n`` on one grid, from its eigenvector."""
+    from scipy.linalg import eigh_tridiagonal
+
     values, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, n)
     try:
         energy, vector = eigh_tridiagonal(
             diagonal, off_diagonal, select="i", select_range=(n - 1, n - 1)
         )
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigenvector iteration failed: {exc}") from exc
     kinetic_energy = energy[0] - values @ vector[:, 0] ** 2
     return 2.0 * kinetic_energy / params.half_width

@@ -16,16 +16,15 @@ so the levels invert to
         = T (n - 1/2)^2 + 2 sqrt(V0 T) (n - 1/2).
 
 Both routes are provided: the closed form and a quadrature-plus-root-find
-evaluation used to validate it.
+evaluation used to validate it.  scipy's quadrature and root finder are
+imported on the first call of :func:`action` or :func:`qc_energy_numeric`,
+so the closed form never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     BracketingError,
@@ -101,6 +100,8 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
     [0, pi/2], which adaptive quadrature then resolves to near machine
     precision.
     """
+    from scipy.integrate import quad
+
     if energy <= 0.0:
         raise InvalidParameterError(f"energy must be positive, got {energy!r}")
     x0 = turning_point(params, energy)
@@ -139,6 +140,8 @@ def qc_energy_numeric(params: PTParameters, n: int) -> float:
     The action is strictly increasing in E, so the root is unique; the
     bracket comes from the closed form widened by 50% each way.
     """
+    from scipy.optimize import brentq
+
     check_single_level(n)
     closed = qc_energy_closed(params, n)
     target = 2.0 * math.pi * params.hbar * (n - 0.5)

@@ -407,6 +407,14 @@ class TestConfigFile:
             cli.main(["spectrum", "--config", str(tmp_path / "absent.cfg")])
         assert excinfo.value.code == 2
 
+    def test_empty_path_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["spectrum", "--half-width", "1", "--n-max", "2", "--config", ""])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot read config file ''" in captured.err
+
     @pytest.mark.parametrize("command, action, option", config_options())
     def test_every_declared_option_is_a_key(self, tmp_path, command, action, option):
         if action.choices:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ptoscillator import (
+    ConvergenceError,
     DomainError,
     GridSpec,
     InvalidParameterError,
@@ -213,3 +214,24 @@ class TestNonFiniteHamiltonian:
     def test_pressure_is_domain_error(self):
         with pytest.raises(DomainError):
             numerical_pressure(self.params, 1, use_eigenvalues=True)
+
+
+class TestEigensolverFailure:
+    # scipy.linalg is imported when the solver runs, so patching the
+    # module attribute reaches the call
+    @pytest.fixture(autouse=True)
+    def failing_eigensolver(self, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+
+    def test_eigensolve_is_convergence_error(self, unit_well):
+        with pytest.raises(ConvergenceError, match="eigenvalue iteration failed"):
+            solve_eigenvalues(unit_well, GridSpec(64))
+
+    def test_pressure_is_convergence_error(self, unit_well):
+        with pytest.raises(ConvergenceError, match="eigenvector iteration failed"):
+            numerical_pressure(unit_well, 1, use_eigenvalues=True)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ptoscillator import (
+    BracketingError,
     DomainError,
     InvalidParameterError,
     PTParameters,
+    QuadratureError,
     action,
     classical_momentum,
     derive_scales,
@@ -150,6 +152,25 @@ class TestNumericLevels:
         assert qc_energy_numeric(wide_well, 3) == pytest.approx(
             qc_energy_closed(wide_well, 3), rel=1e-8
         )
+
+
+class TestQuadratureFailure:
+    # scipy.integrate is imported when the action is evaluated, so
+    # patching the module attribute reaches the call
+    def test_inaccurate_action_is_quadrature_error(self, monkeypatch, unit_well):
+        import scipy.integrate
+
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 1e-9))
+        with pytest.raises(QuadratureError):
+            action(unit_well, 1.0)
+
+    def test_residual_without_sign_change_is_bracketing_error(self, monkeypatch, unit_well):
+        import scipy.integrate
+
+        # an action far above 2 pi hbar (n - 1/2) at both ends of the bracket
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1e3, 0.0))
+        with pytest.raises(BracketingError):
+            qc_energy_numeric(unit_well, 1)
 
 
 class TestDeviationFromExact:
