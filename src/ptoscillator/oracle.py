@@ -9,6 +9,22 @@ near the walls enforces decay on its own; no capping is applied.
 scipy is imported on the first solver call, so programs that use only
 the closed forms never load it.
 
+The potential is even and the grid is mirror-symmetric about x = 0, so
+the matrix splits exactly into an even and an odd block of about half
+its size, and each block is solved on its own.  With every off-diagonal
+entry equal to -k (k = hbar^2 / (2 m h^2)):
+
+* N = 2M: both blocks are the first M nodes, with the last diagonal
+  entry d_M - k for the even block and d_M + k for the odd block;
+* N = 2M + 1: the even block is the first M + 1 nodes, centre included,
+  with its last off-diagonal entry -sqrt(2) k; the odd block is the
+  first M nodes unchanged.
+
+The eigenvalues of a mirror-symmetric Jacobi matrix are simple and
+alternate in parity, starting with even (Cantoni & Butler, Linear
+Algebra Appl. 13, 275 (1976)), so level n is the ((n - 1) // 2)-th
+eigenvalue of the even block for odd n and of the odd block for even n.
+
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the leading
 h^2 (and h^4) error terms.  Level pressures come from the Hellmann-Feynman
 identity on each grid: in the scaled coordinate x = L u the matrix is
@@ -16,13 +32,16 @@ K / L^2 + V(u) with V(u) independent of L, so the discrete level obeys
 
     -dE_h/dL = (2 / L) (E_h - sum_i V_i psi_i^2)
 
-exactly for its normalized eigenvector psi.  These per-grid pressures are
-extrapolated with the same weights as the eigenvalues; no step in L is
-taken.
+exactly for its normalized eigenvector psi.  For a unit eigenvector u of
+the level's parity block that sum is sum_i V_i u_i^2 over the block's
+nodes, so the block vector serves in place of psi.  These per-grid
+pressures are extrapolated with the same weights as the eigenvalues; no
+step in L is taken.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,7 +133,9 @@ def _fd_hamiltonian(
             f"cannot request {count} eigenvalues from a grid of {n_points} points"
         )
     spacing = 2.0 * params.half_width / (n_points + 1)
-    nodes = -params.half_width + spacing * np.arange(1, n_points + 1)
+    # Offsets from the centre are exact in floating point, so the sampled
+    # potential is exactly mirror-symmetric, as the parity fold assumes.
+    nodes = spacing * (np.arange(1, n_points + 1) - 0.5 * (n_points + 1))
     kinetic = params.hbar**2 / (2.0 * params.mass * spacing**2)
     values = potential(params, nodes)
     diagonal = 2.0 * kinetic + values
@@ -126,26 +147,61 @@ def _fd_hamiltonian(
     return values, diagonal, off_diagonal
 
 
+def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tuple, tuple]:
+    """Even and odd parity blocks of the finite-difference Hamiltonian,
+    each ``(values, diagonal, off_diagonal)`` over its nodes, folded as the
+    module docstring describes after the checks of :func:`_fd_hamiltonian`."""
+    values, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, count)
+    half = n_points // 2
+    inner = off_diagonal[: half - 1]
+    if n_points % 2:
+        coupling = off_diagonal[:half].copy()
+        coupling[-1] *= math.sqrt(2.0)
+        even = (values[: half + 1], diagonal[: half + 1], coupling)
+        return even, (values[:half], diagonal[:half], inner)
+    # off_diagonal[half - 1] = -k couples node M to its mirror image
+    even_diagonal = diagonal[:half].copy()
+    odd_diagonal = diagonal[:half].copy()
+    even_diagonal[-1] += off_diagonal[half - 1]
+    odd_diagonal[-1] -= off_diagonal[half - 1]
+    return (values[:half], even_diagonal, inner), (values[:half], odd_diagonal, inner)
+
+
 def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues on one grid, solved per parity block.
+
+    The levels alternate even, odd, even, ..., so the even block supplies
+    levels 1, 3, 5, ... and the odd block levels 2, 4, 6, ...
+    """
     from scipy.linalg import eigh_tridiagonal
 
-    _, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, count)
-    try:
-        return eigh_tridiagonal(
-            diagonal, off_diagonal, select="i", select_range=(0, count - 1), eigvals_only=True
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigenvalue iteration failed: {exc}") from exc
+    eigenvalues = np.empty(count)
+    for parity, (_, diagonal, off_diagonal) in enumerate(_parity_blocks(params, n_points, count)):
+        wanted = (count + 1 - parity) // 2
+        if wanted == 0:
+            continue
+        try:
+            eigenvalues[parity::2] = eigh_tridiagonal(
+                diagonal, off_diagonal, select="i", select_range=(0, wanted - 1), eigvals_only=True
+            )
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"tridiagonal eigenvalue iteration failed: {exc}") from exc
+    return eigenvalues
 
 
 def _fd_pressure(params: PTParameters, n_points: int, n: int) -> float:
-    """Exact -dE_h/dL of level ``n`` on one grid, from its eigenvector."""
+    """Exact -dE_h/dL of level ``n`` on one grid, from its eigenvector.
+
+    A unit eigenvector u of the level's parity block gives the full-grid
+    sum_i V_i psi_i^2 as ``values @ u**2`` over the block's nodes.
+    """
     from scipy.linalg import eigh_tridiagonal
 
-    values, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, n)
+    values, diagonal, off_diagonal = _parity_blocks(params, n_points, n)[(n - 1) % 2]
+    index = (n - 1) // 2
     try:
         energy, vector = eigh_tridiagonal(
-            diagonal, off_diagonal, select="i", select_range=(n - 1, n - 1)
+            diagonal, off_diagonal, select="i", select_range=(index, index)
         )
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigenvector iteration failed: {exc}") from exc
@@ -179,6 +235,8 @@ def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum
         _fd_lowest_eigenvalues(params, size, grid.level_count) for size in grid.grid_sequence()
     ]
     eigenvalues, estimates = _richardson(columns)
+    if not np.isfinite(eigenvalues).all():
+        raise ConvergenceError("extrapolated eigenvalues are not finite")
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
             "extrapolated eigenvalues are not strictly increasing and positive; "
@@ -217,7 +275,10 @@ def numerical_pressure(
                 f"grid.level_count={solve_grid.level_count} is below the requested level {n}"
             )
         columns = [_fd_pressure(params, size, n) for size in solve_grid.grid_sequence()]
-        return float(_richardson(columns)[0])
+        pressure = float(_richardson(columns)[0])
+        if not math.isfinite(pressure):
+            raise ConvergenceError(f"extrapolated pressure of level {n} is not finite: {pressure!r}")
+        return pressure
 
     length = params.half_width
 

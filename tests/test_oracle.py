@@ -17,6 +17,7 @@ from ptoscillator import (
     numerical_pressure,
     solve_eigenvalues,
 )
+from ptoscillator import oracle
 
 
 def closed_energies(params: PTParameters, count: int) -> np.ndarray:
@@ -166,6 +167,48 @@ class TestNumericalPressure:
             )
 
 
+WELLS = ["unit_well", "wide_well", "shallow_well", "box"]
+
+
+class TestParityFold:
+    # The even/odd blocks against one solve of the full matrix.  The bound
+    # is twice the default absolute tolerance eps * ||T||_1 of LAPACK's
+    # bisection, which each side meets on its own.
+    @pytest.mark.parametrize("well", WELLS)
+    @pytest.mark.parametrize("n_points", [64, 65])
+    @pytest.mark.parametrize("count", [1, 5, 8, "all"])
+    def test_eigenvalues_match_full_matrix(self, request, well, n_points, count):
+        from scipy.linalg import eigh_tridiagonal
+
+        params = request.getfixturevalue(well)
+        count = n_points if count == "all" else count
+        values, diagonal, off_diagonal = oracle._fd_hamiltonian(params, n_points, count)
+        assert np.array_equal(values, values[::-1])
+        full = eigh_tridiagonal(
+            diagonal, off_diagonal, select="i", select_range=(0, count - 1), eigvals_only=True
+        )
+        magnitude = np.abs(np.concatenate(([0.0], off_diagonal, [0.0])))
+        norm = np.max(np.abs(diagonal) + magnitude[:-1] + magnitude[1:])
+        folded = oracle._fd_lowest_eigenvalues(params, n_points, count)
+        assert folded.shape == (count,)
+        assert np.max(np.abs(folded - full)) <= 2.0 * np.finfo(float).eps * norm
+
+    @pytest.mark.parametrize("well", WELLS)
+    @pytest.mark.parametrize("n_points", [64, 65])
+    def test_pressures_match_full_eigenvector(self, request, well, n_points):
+        from scipy.linalg import eigh_tridiagonal
+
+        params = request.getfixturevalue(well)
+        values, diagonal, off_diagonal = oracle._fd_hamiltonian(params, n_points, 5)
+        for n in range(1, 6):
+            energy, vector = eigh_tridiagonal(
+                diagonal, off_diagonal, select="i", select_range=(n - 1, n - 1)
+            )
+            full = 2.0 * (energy[0] - values @ vector[:, 0] ** 2) / params.half_width
+            folded = oracle._fd_pressure(params, n_points, n)
+            assert folded == pytest.approx(full, rel=1e-6)
+
+
 class TestConvergenceStudy:
     def test_unit_well_is_second_order(self, unit_well):
         report = convergence_study(unit_well, [500, 1000, 2000], level_count=3)
@@ -234,4 +277,20 @@ class TestEigensolverFailure:
 
     def test_pressure_is_convergence_error(self, unit_well):
         with pytest.raises(ConvergenceError, match="eigenvector iteration failed"):
+            numerical_pressure(unit_well, 1, use_eigenvalues=True)
+
+
+class TestNonFiniteResult:
+    # A solver that returns NaN must not pass the positivity and ordering
+    # checks, where every comparison with NaN is False.
+    def test_eigensolve_is_convergence_error(self, monkeypatch, unit_well):
+        monkeypatch.setattr(
+            oracle, "_fd_lowest_eigenvalues", lambda params, n_points, count: np.full(count, np.nan)
+        )
+        with pytest.raises(ConvergenceError, match="not finite"):
+            solve_eigenvalues(unit_well, GridSpec(64, level_count=3))
+
+    def test_pressure_is_convergence_error(self, monkeypatch, unit_well):
+        monkeypatch.setattr(oracle, "_fd_pressure", lambda params, n_points, n: math.nan)
+        with pytest.raises(ConvergenceError, match="not finite"):
             numerical_pressure(unit_well, 1, use_eigenvalues=True)
