@@ -48,7 +48,6 @@ _VALIDATE_COLUMNS = (
 )
 
 _PRESSURE_TOLERANCE = 1e-8
-_PRESSURE_STEP = 1e-4
 
 
 def _fmt(value: float) -> str:
@@ -249,7 +248,7 @@ def cmd_sweep(args: argparse.Namespace, params: PTParameters):
     for value in np.linspace(args.sweep_from, args.sweep_to, args.steps):
         point = replace(params, **{field: float(value)})
         scales = derive_scales(point)
-        level = spectra.levels(point, n, scales)
+        level = spectra.levels(point, n)
         s_eff = level.pressure_total * point.half_width / level.energy_total
         rows.append((float(value), scales.lambda_exact, scales.oscillator_quantum,
                      level.energy_total, level.pressure_total, s_eff, scales.n_critical))
@@ -301,7 +300,7 @@ def cmd_validate(args: argparse.Namespace, params: PTParameters):
     ):
         numeric_energy = float(numeric.eigenvalues[n - 1])
         energy_err = abs(numeric_energy - closed_energy) / abs(closed_energy)
-        numeric_pressure = oracle.numerical_pressure(params, n, relative_step=_PRESSURE_STEP)
+        numeric_pressure = oracle.numerical_pressure(params, n)
         pressure_err = abs(numeric_pressure - closed_pressure) / abs(closed_pressure)
         if energy_err > args.tolerance or pressure_err > _PRESSURE_TOLERANCE:
             all_ok = False

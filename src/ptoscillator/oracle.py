@@ -11,14 +11,15 @@ the closed forms never load it.
 
 The potential is even and the grid is mirror-symmetric about x = 0, so
 the matrix splits exactly into an even and an odd block of about half
-its size, and each block is solved on its own.  With every off-diagonal
-entry equal to -k (k = hbar^2 / (2 m h^2)):
+its size.  Only the left-half nodes h (i - (N + 1)/2), i = 1..N - N//2,
+are built, and both blocks are read off them; the full matrix never is.
+With every off-diagonal entry equal to -k (k = hbar^2 / (2 m h^2)):
 
-* N = 2M: both blocks are the first M nodes, with the last diagonal
+* N = 2M: both blocks are the M half-grid nodes, with the last diagonal
   entry d_M - k for the even block and d_M + k for the odd block;
-* N = 2M + 1: the even block is the first M + 1 nodes, centre included,
-  with its last off-diagonal entry -sqrt(2) k; the odd block is the
-  first M nodes unchanged.
+* N = 2M + 1: the even block is the M + 1 half-grid nodes, centre
+  included, with its last off-diagonal entry -sqrt(2) k; the odd block
+  is the first M of them unchanged.
 
 The eigenvalues of a mirror-symmetric Jacobi matrix are simple and
 alternate in parity, starting with even (Cantoni & Butler, Linear
@@ -63,8 +64,8 @@ __all__ = [
 MAX_GRID_POINTS = 262_144
 
 _MIN_GRID_POINTS = 64
-_STEP_MIN = 1e-7
-_STEP_MAX = 1e-2
+# relative step in L of the closed-form branch of numerical_pressure
+_DIFFERENCE_STEP = 1e-4
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,15 +120,13 @@ class NumericalSpectrum:
 
     eigenvalues: np.ndarray
     error_estimates: np.ndarray
-    grid: GridSpec
 
 
-def _fd_hamiltonian(
-    params: PTParameters, n_points: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Potential at the interior nodes, diagonal and off-diagonal of the
-    finite-difference Hamiltonian on ``n_points`` nodes, checked to hold
-    ``count`` levels and to be finite."""
+def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tuple, tuple]:
+    """Even and odd parity blocks of the finite-difference Hamiltonian on
+    ``n_points`` nodes, each ``(values, diagonal, off_diagonal)`` over its
+    nodes, built from the left half of the grid as the module docstring
+    describes and checked to hold ``count`` levels and to be finite."""
     if count > n_points:
         raise InvalidParameterError(
             f"cannot request {count} eigenvalues from a grid of {n_points} points"
@@ -135,7 +134,7 @@ def _fd_hamiltonian(
     spacing = 2.0 * params.half_width / (n_points + 1)
     # Offsets from the centre are exact in floating point, so the sampled
     # potential is exactly mirror-symmetric, as the parity fold assumes.
-    nodes = spacing * (np.arange(1, n_points + 1) - 0.5 * (n_points + 1))
+    nodes = spacing * (np.arange(1, n_points - n_points // 2 + 1) - 0.5 * (n_points + 1))
     kinetic = params.hbar**2 / (2.0 * params.mass * spacing**2)
     values = potential(params, nodes)
     diagonal = 2.0 * kinetic + values
@@ -143,28 +142,16 @@ def _fd_hamiltonian(
         raise DomainError(
             f"finite-difference Hamiltonian on {n_points} points leaves the floating-point range"
         )
-    off_diagonal = np.full(n_points - 1, -kinetic)
-    return values, diagonal, off_diagonal
-
-
-def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tuple, tuple]:
-    """Even and odd parity blocks of the finite-difference Hamiltonian,
-    each ``(values, diagonal, off_diagonal)`` over its nodes, folded as the
-    module docstring describes after the checks of :func:`_fd_hamiltonian`."""
-    values, diagonal, off_diagonal = _fd_hamiltonian(params, n_points, count)
-    half = n_points // 2
-    inner = off_diagonal[: half - 1]
+    off_diagonal = np.full(nodes.size - 1, -kinetic)
     if n_points % 2:
-        coupling = off_diagonal[:half].copy()
+        coupling = off_diagonal.copy()
         coupling[-1] *= math.sqrt(2.0)
-        even = (values[: half + 1], diagonal[: half + 1], coupling)
-        return even, (values[:half], diagonal[:half], inner)
-    # off_diagonal[half - 1] = -k couples node M to its mirror image
-    even_diagonal = diagonal[:half].copy()
-    odd_diagonal = diagonal[:half].copy()
-    even_diagonal[-1] += off_diagonal[half - 1]
-    odd_diagonal[-1] -= off_diagonal[half - 1]
-    return (values[:half], even_diagonal, inner), (values[:half], odd_diagonal, inner)
+        return (values, diagonal, coupling), (values[:-1], diagonal[:-1], off_diagonal[:-1])
+    # the coupling -k of node M to its mirror image folds into the diagonal
+    even_diagonal = diagonal.copy()
+    even_diagonal[-1] -= kinetic
+    diagonal[-1] += kinetic
+    return (values, even_diagonal, off_diagonal), (values, diagonal, off_diagonal)
 
 
 def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> np.ndarray:
@@ -213,10 +200,10 @@ def _richardson(columns: list) -> tuple:
     """Extrapolate values from grids whose spacing halves at each step.
 
     Returns the extrapolated value and the magnitude of the last
-    correction, or NaN when there is a single grid.
+    correction, or NaN when there is a single grid.  Raises
+    :class:`ConvergenceError` when the extrapolated value is not finite.
     """
-    if len(columns) == 1:
-        return columns[0], np.full_like(columns[0], np.nan)
+    estimate = np.full_like(columns[0], np.nan)
     order = 2
     while len(columns) > 1:
         weight = 2.0**order
@@ -225,8 +212,11 @@ def _richardson(columns: list) -> tuple:
             (weight * columns[i + 1] - columns[i]) / (weight - 1.0)
             for i in range(len(columns) - 1)
         ]
+        estimate = np.abs(columns[0] - previous[-1])
         order += 2
-    return columns[0], np.abs(columns[0] - previous[-1])
+    if not np.all(np.isfinite(columns[0])):
+        raise ConvergenceError(f"extrapolated values are not finite: {columns[0]!r}")
+    return columns[0], estimate
 
 
 def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum:
@@ -235,39 +225,31 @@ def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum
         _fd_lowest_eigenvalues(params, size, grid.level_count) for size in grid.grid_sequence()
     ]
     eigenvalues, estimates = _richardson(columns)
-    if not np.isfinite(eigenvalues).all():
-        raise ConvergenceError("extrapolated eigenvalues are not finite")
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
             "extrapolated eigenvalues are not strictly increasing and positive; "
             "refine the grid"
         )
-    return NumericalSpectrum(eigenvalues=eigenvalues, error_estimates=estimates, grid=grid)
+    return NumericalSpectrum(eigenvalues=eigenvalues, error_estimates=estimates)
 
 
 def numerical_pressure(
     params: PTParameters,
     n: int,
-    relative_step: float = 1e-4,
     use_eigenvalues: bool = False,
     grid: GridSpec | None = None,
 ) -> float:
     """Level pressure -dE_n/dL, computed apart from the closed-form pressure.
 
     By default the closed-form energy is differenced centrally in L at
-    relative steps ``relative_step`` and half of it, and the two
-    quotients are Richardson extrapolated; the step is used by this
-    branch only.  With ``use_eigenvalues`` the pressure is the
+    relative steps 1e-4 and half of it, and the two quotients are
+    Richardson extrapolated.  With ``use_eigenvalues`` the pressure is the
     Hellmann-Feynman value of the finite-difference level on each grid
     of ``grid`` (default ``GridSpec(4000, 2, level_count=n)``),
     extrapolated like the eigenvalues, which makes the check fully
     independent of the closed forms.
     """
     check_single_level(n)
-    if not _STEP_MIN <= relative_step <= _STEP_MAX:
-        raise InvalidParameterError(
-            f"relative_step must lie in [{_STEP_MIN}, {_STEP_MAX}], got {relative_step!r}"
-        )
     if use_eigenvalues:
         solve_grid = grid if grid is not None else GridSpec(4000, richardson_levels=2, level_count=n)
         if solve_grid.level_count < n:
@@ -275,10 +257,7 @@ def numerical_pressure(
                 f"grid.level_count={solve_grid.level_count} is below the requested level {n}"
             )
         columns = [_fd_pressure(params, size, n) for size in solve_grid.grid_sequence()]
-        pressure = float(_richardson(columns)[0])
-        if not math.isfinite(pressure):
-            raise ConvergenceError(f"extrapolated pressure of level {n} is not finite: {pressure!r}")
-        return pressure
+        return float(_richardson(columns)[0])
 
     length = params.half_width
 
@@ -287,8 +266,8 @@ def numerical_pressure(
         lower = levels(replace(params, half_width=length * (1.0 - delta)), n).energy_total
         return -(upper - lower) / (2.0 * length * delta)
 
-    coarse = quotient(relative_step)
-    fine = quotient(0.5 * relative_step)
+    coarse = quotient(_DIFFERENCE_STEP)
+    fine = quotient(0.5 * _DIFFERENCE_STEP)
     return (4.0 * fine - coarse) / 3.0
 
 

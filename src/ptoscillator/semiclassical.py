@@ -102,12 +102,6 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
     """
     from scipy.integrate import quad
 
-    return _action(params, energy, quad)
-
-
-def _action(params: PTParameters, energy: float, quad) -> ActionEvaluation:
-    """:func:`action` with scipy's ``quad`` passed in, so a root find
-    resolves the deferred import once rather than once per evaluation."""
     if energy <= 0.0:
         raise InvalidParameterError(f"energy must be positive, got {energy!r}")
     x0 = turning_point(params, energy)
@@ -146,7 +140,6 @@ def qc_energy_numeric(params: PTParameters, n: int) -> float:
     The action is strictly increasing in E, so the root is unique; the
     bracket comes from the closed form widened by 50% each way.
     """
-    from scipy.integrate import quad
     from scipy.optimize import brentq
 
     check_single_level(n)
@@ -154,7 +147,7 @@ def qc_energy_numeric(params: PTParameters, n: int) -> float:
     target = 2.0 * math.pi * params.hbar * (n - 0.5)
 
     def residual(energy: float) -> float:
-        return _action(params, energy, quad).action - target
+        return action(params, energy).action - target
 
     lo, hi = 0.5 * closed, 1.5 * closed
     r_lo, r_hi = residual(lo), residual(hi)

@@ -65,7 +65,7 @@ class Levels(NamedTuple):
     regime_label: str
 
 
-def levels(params: PTParameters, n, scales: DerivedScales | None = None) -> Levels:
+def levels(params: PTParameters, n) -> Levels:
     """Closed-form energies, pressures and regime ratios of the levels ``n``.
 
     The box pressure obeys the homogeneous equation of state P = 2 E / L;
@@ -76,7 +76,7 @@ def levels(params: PTParameters, n, scales: DerivedScales | None = None) -> Leve
     first level whose energy (named first) or pressure is not finite.
     """
     n = check_level(n)
-    s = scales if scales is not None else derive_scales(params)
+    s = derive_scales(params)
     k = n.astype(np.float64)  # exact below 2^53; keeps n * n out of int64
     inv_l = 1.0 / params.half_width
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -115,9 +115,8 @@ def level_range(n_max: int) -> np.ndarray:
 @dataclass(frozen=True, slots=True)
 class SpectrumTable:
     """Levels n = 1..n_max, one plain-valued :class:`Levels` row each,
-    with the parameters and scales that made them."""
+    with the scales that made them."""
 
-    params: PTParameters
     scales: DerivedScales
     rows: tuple[Levels, ...]
 
@@ -125,9 +124,8 @@ class SpectrumTable:
 def spectrum_table(params: PTParameters, n_max: int) -> SpectrumTable:
     """Tabulate levels 1..n_max.  Deterministic; n_max capped at 10^6."""
     n = level_range(n_max)
-    scales = derive_scales(params)
-    columns = levels(params, n, scales)
+    columns = levels(params, n)
     if not np.all(np.diff(columns.energy_total) > 0.0):
         raise InvalidParameterError("spectrum rows must increase strictly in energy")
     rows = tuple(map(Levels._make, zip(*(c.tolist() for c in columns))))
-    return SpectrumTable(params=params, scales=scales, rows=rows)
+    return SpectrumTable(scales=derive_scales(params), rows=rows)

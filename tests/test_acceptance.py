@@ -69,7 +69,7 @@ def test_criterion_2_pressures():
     for params in CASES:
         for n in range(1, 6):
             closed = levels(params, n).pressure_total
-            numeric = numerical_pressure(params, n, relative_step=1e-4)
+            numeric = numerical_pressure(params, n)
             assert closed == pytest.approx(numeric, rel=1e-8)
     assert levels(CASE_UNIT, 1).pressure_total == pytest.approx(2.25 / math.pi, rel=1e-12)
     assert levels(CASE_UNIT, 1).pressure_total == pytest.approx(0.7161972, rel=1e-7)

@@ -95,12 +95,12 @@ class TestSolveEigenvalues:
 
 class TestNumericalPressure:
     def test_unit_well_matches_closed_form(self, unit_well):
-        numeric = numerical_pressure(unit_well, 1, relative_step=1e-4)
+        numeric = numerical_pressure(unit_well, 1)
         assert numeric == pytest.approx(2.25 / math.pi, rel=1e-8)
 
     def test_box_homogeneous_spectrum(self):
         params = PTParameters(mass=1.0, well_depth=0.0, half_width=1.0)
-        numeric = numerical_pressure(params, 2, relative_step=1e-4)
+        numeric = numerical_pressure(params, 2)
         expected = 2.0 * levels(params, 2).energy_total / params.half_width
         assert numeric == pytest.approx(expected, rel=1e-10)
 
@@ -112,7 +112,7 @@ class TestNumericalPressure:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_eigenvalue_mode(self, unit_well, n):
-        numeric = numerical_pressure(unit_well, n, relative_step=1e-4, use_eigenvalues=True)
+        numeric = numerical_pressure(unit_well, n, use_eigenvalues=True)
         closed = levels(unit_well, n).pressure_total
         assert numeric == pytest.approx(closed, rel=1e-5)
 
@@ -152,11 +152,6 @@ class TestNumericalPressure:
         numeric = numerical_pressure(params, n, use_eigenvalues=True)
         assert numeric == pytest.approx(levels(params, n).pressure_total, rel=1e-6)
 
-    @pytest.mark.parametrize("step", [1e-8, 0.5, 0.0])
-    def test_step_bounds(self, unit_well, step):
-        with pytest.raises(InvalidParameterError):
-            numerical_pressure(unit_well, 1, relative_step=step)
-
     def test_level_count_guard_in_eigenvalue_mode(self, unit_well):
         with pytest.raises(InvalidParameterError):
             numerical_pressure(
@@ -170,7 +165,45 @@ class TestNumericalPressure:
 WELLS = ["unit_well", "wide_well", "shallow_well", "box"]
 
 
+def full_matrix(params: PTParameters, n_points: int):
+    """Potential, diagonal and off-diagonal of the finite-difference
+    Hamiltonian on all ``n_points`` interior nodes, built here from the
+    stencil alone."""
+    spacing = 2.0 * params.half_width / (n_points + 1)
+    nodes = spacing * (np.arange(1, n_points + 1) - 0.5 * (n_points + 1))
+    kinetic = params.hbar**2 / (2.0 * params.mass * spacing**2)
+    values = params.well_depth * np.tan(params.alpha * nodes) ** 2
+    return values, 2.0 * kinetic + values, np.full(n_points - 1, -kinetic)
+
+
+def fold(values, diagonal, off_diagonal):
+    """Even and odd blocks sliced from the full matrix by the parity fold."""
+    half = len(diagonal) // 2
+    if len(diagonal) % 2:
+        coupling = off_diagonal[:half].copy()
+        coupling[-1] *= math.sqrt(2.0)
+        even = (values[: half + 1], diagonal[: half + 1], coupling)
+        return even, (values[:half], diagonal[:half], off_diagonal[: half - 1])
+    even_diagonal = diagonal[:half].copy()
+    odd_diagonal = diagonal[:half].copy()
+    even_diagonal[-1] += off_diagonal[half - 1]
+    odd_diagonal[-1] -= off_diagonal[half - 1]
+    inner = off_diagonal[: half - 1]
+    return (values[:half], even_diagonal, inner), (values[:half], odd_diagonal, inner)
+
+
 class TestParityFold:
+    @pytest.mark.parametrize("well", WELLS)
+    @pytest.mark.parametrize("n_points", [64, 65, 4000, 4001])
+    def test_blocks_equal_fold_of_full_matrix(self, request, well, n_points):
+        params = request.getfixturevalue(well)
+        values, diagonal, off_diagonal = full_matrix(params, n_points)
+        assert np.array_equal(values, values[::-1])
+        blocks = oracle._parity_blocks(params, n_points, 1)
+        for block, expected in zip(blocks, fold(values, diagonal, off_diagonal)):
+            for part, want in zip(block, expected):
+                assert np.array_equal(part, want)
+
     # The even/odd blocks against one solve of the full matrix.  The bound
     # is twice the default absolute tolerance eps * ||T||_1 of LAPACK's
     # bisection, which each side meets on its own.
@@ -182,8 +215,7 @@ class TestParityFold:
 
         params = request.getfixturevalue(well)
         count = n_points if count == "all" else count
-        values, diagonal, off_diagonal = oracle._fd_hamiltonian(params, n_points, count)
-        assert np.array_equal(values, values[::-1])
+        _, diagonal, off_diagonal = full_matrix(params, n_points)
         full = eigh_tridiagonal(
             diagonal, off_diagonal, select="i", select_range=(0, count - 1), eigvals_only=True
         )
@@ -199,7 +231,7 @@ class TestParityFold:
         from scipy.linalg import eigh_tridiagonal
 
         params = request.getfixturevalue(well)
-        values, diagonal, off_diagonal = oracle._fd_hamiltonian(params, n_points, 5)
+        values, diagonal, off_diagonal = full_matrix(params, n_points)
         for n in range(1, 6):
             energy, vector = eigh_tridiagonal(
                 diagonal, off_diagonal, select="i", select_range=(n - 1, n - 1)
@@ -282,15 +314,20 @@ class TestEigensolverFailure:
 
 class TestNonFiniteResult:
     # A solver that returns NaN must not pass the positivity and ordering
-    # checks, where every comparison with NaN is False.
+    # checks, where every comparison with NaN is False, whether one, two
+    # or three grids are extrapolated.
     def test_eigensolve_is_convergence_error(self, monkeypatch, unit_well):
         monkeypatch.setattr(
             oracle, "_fd_lowest_eigenvalues", lambda params, n_points, count: np.full(count, np.nan)
         )
-        with pytest.raises(ConvergenceError, match="not finite"):
-            solve_eigenvalues(unit_well, GridSpec(64, level_count=3))
+        for richardson_levels in (1, 2, 3):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                solve_eigenvalues(unit_well, GridSpec(64, richardson_levels, level_count=3))
 
     def test_pressure_is_convergence_error(self, monkeypatch, unit_well):
         monkeypatch.setattr(oracle, "_fd_pressure", lambda params, n_points, n: math.nan)
-        with pytest.raises(ConvergenceError, match="not finite"):
-            numerical_pressure(unit_well, 1, use_eigenvalues=True)
+        for richardson_levels in (1, 2, 3):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                numerical_pressure(
+                    unit_well, 1, use_eigenvalues=True, grid=GridSpec(64, richardson_levels)
+                )

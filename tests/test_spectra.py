@@ -138,7 +138,7 @@ class TestPressureLevel:
         # Hellmann-Feynman: closed-form pressure equals -dE/dL.
         for params in (unit_well, wide_well, shallow_well, box):
             for n in range(1, 21):
-                numeric = numerical_pressure(params, n, relative_step=1e-4)
+                numeric = numerical_pressure(params, n)
                 closed = levels(params, n).pressure_total
                 assert closed == pytest.approx(numeric, rel=1e-8)
 
