@@ -81,7 +81,6 @@ class ApproximationReport:
     approx: float
     absolute_error: float
     relative_error: float
-    expected_order: str
 
 
 def fp_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
@@ -155,11 +154,9 @@ def limit_equation_of_state(params: PTParameters, n: int, regime: str) -> Approx
     if regime == FP_REGIME:
         fp_limit_expansion(params, order=1)
         s_limit = 2.0
-        expected = "O(V0/T)"
     elif regime == HO_REGIME:
         ho_limit_expansion(params, order=1)
         s_limit = 1.0
-        expected = "O(T/hw_tilde)"
     else:
         raise InvalidParameterError(f"regime must be {FP_REGIME!r} or {HO_REGIME!r}, got {regime!r}")
     level = levels(params, n)
@@ -169,5 +166,4 @@ def limit_equation_of_state(params: PTParameters, n: int, regime: str) -> Approx
         approx=s_limit,
         absolute_error=abs(s_eff - s_limit),
         relative_error=abs(s_eff - s_limit) / abs(s_limit),
-        expected_order=expected,
     )

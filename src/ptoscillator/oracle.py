@@ -109,6 +109,10 @@ class GridSpec:
         return tuple(sizes)
 
 
+# the two grids of the Hellmann-Feynman branch of numerical_pressure
+_PRESSURE_GRID = GridSpec(4000, richardson_levels=2)
+
+
 @dataclass(frozen=True, slots=True)
 class NumericalSpectrum:
     """Extrapolated eigenvalues with per-level error estimates.
@@ -233,30 +237,19 @@ def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum
     return NumericalSpectrum(eigenvalues=eigenvalues, error_estimates=estimates)
 
 
-def numerical_pressure(
-    params: PTParameters,
-    n: int,
-    use_eigenvalues: bool = False,
-    grid: GridSpec | None = None,
-) -> float:
+def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = False) -> float:
     """Level pressure -dE_n/dL, computed apart from the closed-form pressure.
 
     By default the closed-form energy is differenced centrally in L at
     relative steps 1e-4 and half of it, and the two quotients are
     Richardson extrapolated.  With ``use_eigenvalues`` the pressure is the
-    Hellmann-Feynman value of the finite-difference level on each grid
-    of ``grid`` (default ``GridSpec(4000, 2, level_count=n)``),
-    extrapolated like the eigenvalues, which makes the check fully
-    independent of the closed forms.
+    Hellmann-Feynman value of the finite-difference level on the grids
+    N = 4000 and 8001, extrapolated like the eigenvalues, which makes the
+    check fully independent of the closed forms.
     """
     check_single_level(n)
     if use_eigenvalues:
-        solve_grid = grid if grid is not None else GridSpec(4000, richardson_levels=2, level_count=n)
-        if solve_grid.level_count < n:
-            raise InvalidParameterError(
-                f"grid.level_count={solve_grid.level_count} is below the requested level {n}"
-            )
-        columns = [_fd_pressure(params, size, n) for size in solve_grid.grid_sequence()]
+        columns = [_fd_pressure(params, size, n) for size in _PRESSURE_GRID.grid_sequence()]
         return float(_richardson(columns)[0])
 
     length = params.half_width
@@ -266,9 +259,7 @@ def numerical_pressure(
         lower = levels(replace(params, half_width=length * (1.0 - delta)), n).energy_total
         return -(upper - lower) / (2.0 * length * delta)
 
-    coarse = quotient(_DIFFERENCE_STEP)
-    fine = quotient(0.5 * _DIFFERENCE_STEP)
-    return (4.0 * fine - coarse) / 3.0
+    return float(_richardson([quotient(_DIFFERENCE_STEP), quotient(0.5 * _DIFFERENCE_STEP)])[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -304,13 +295,7 @@ def convergence_study(
         spacings.append(2.0 * params.half_width / (size + 1))
         errors.append(np.abs(numeric - closed))
     error_matrix = np.array(errors)
-    log_h = np.log(np.array(spacings))
-    slopes = np.array(
-        [
-            np.polyfit(log_h, np.log(error_matrix[:, level]), 1)[0]
-            for level in range(level_count)
-        ]
-    )
+    slopes = np.polyfit(np.log(np.array(spacings)), np.log(error_matrix), 1)[0]
     return ConvergenceReport(
         grid_sizes=tuple(sorted(grid_sizes)),
         spacings=tuple(spacings),

@@ -85,7 +85,6 @@ def turning_point(params: PTParameters, energy: float) -> float:
 class ActionEvaluation:
     """Closed-orbit action at one energy plus its quadrature error bound."""
 
-    energy: float
     turning_point: float
     action: float
     quadrature_error: float
@@ -121,9 +120,7 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
         raise QuadratureError(
             f"action quadrature error {total_err!r} exceeds {_ACTION_REL_TOL} relative"
         )
-    return ActionEvaluation(
-        energy=energy, turning_point=x0, action=total, quadrature_error=total_err
-    )
+    return ActionEvaluation(turning_point=x0, action=total, quadrature_error=total_err)
 
 
 def qc_energy_closed(params: PTParameters, n: int) -> float:

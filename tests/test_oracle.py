@@ -118,15 +118,13 @@ class TestNumericalPressure:
 
     def test_eigenvalue_mode_box(self):
         params = PTParameters(mass=1.0, well_depth=0.0, half_width=1.0)
-        numeric = numerical_pressure(
-            params, 1, use_eigenvalues=True, grid=GridSpec(1000, richardson_levels=2, level_count=1)
-        )
+        numeric = numerical_pressure(params, 1, use_eigenvalues=True)
         assert numeric == pytest.approx(levels(params, 1).pressure_total, rel=1e-5)
 
     @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
     def test_eigenvalue_mode_is_grid_derivative(self, request, well):
-        # Without Richardson the eigenvalue-mode pressure is exactly -dE_h/dL
-        # of the level on the N = 1000 grid, so it must match central
+        # The per-grid Hellmann-Feynman pressure is exactly -dE_h/dL of the
+        # level on the N = 1000 grid, so it must match central
         # differences in L of that same raw eigenvalue (steps 1e-2 and 5e-3,
         # extrapolated); the measured worst gap is 3.4e-8 (wide well), the
         # rounding noise of the differenced eigenvalues.
@@ -141,7 +139,7 @@ class TestNumericalPressure:
                 return -(upper.eigenvalues[n - 1] - lower.eigenvalues[n - 1]) / (2 * length * delta)
 
             differenced = (4.0 * quotient(5e-3) - quotient(1e-2)) / 3.0
-            numeric = numerical_pressure(params, n, use_eigenvalues=True, grid=grid)
+            numeric = oracle._fd_pressure(params, 1000, n)
             assert numeric == pytest.approx(differenced, rel=2e-7)
 
     @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
@@ -151,15 +149,6 @@ class TestNumericalPressure:
         params = request.getfixturevalue(well)
         numeric = numerical_pressure(params, n, use_eigenvalues=True)
         assert numeric == pytest.approx(levels(params, n).pressure_total, rel=1e-6)
-
-    def test_level_count_guard_in_eigenvalue_mode(self, unit_well):
-        with pytest.raises(InvalidParameterError):
-            numerical_pressure(
-                unit_well,
-                5,
-                use_eigenvalues=True,
-                grid=GridSpec(1000, richardson_levels=2, level_count=2),
-            )
 
 
 WELLS = ["unit_well", "wide_well", "shallow_well", "box"]
@@ -315,7 +304,8 @@ class TestEigensolverFailure:
 class TestNonFiniteResult:
     # A solver that returns NaN must not pass the positivity and ordering
     # checks, where every comparison with NaN is False, whether one, two
-    # or three grids are extrapolated.
+    # or three grids are extrapolated; the pressure extrapolates two grids
+    # through the same routine.
     def test_eigensolve_is_convergence_error(self, monkeypatch, unit_well):
         monkeypatch.setattr(
             oracle, "_fd_lowest_eigenvalues", lambda params, n_points, count: np.full(count, np.nan)
@@ -326,8 +316,5 @@ class TestNonFiniteResult:
 
     def test_pressure_is_convergence_error(self, monkeypatch, unit_well):
         monkeypatch.setattr(oracle, "_fd_pressure", lambda params, n_points, n: math.nan)
-        for richardson_levels in (1, 2, 3):
-            with pytest.raises(ConvergenceError, match="not finite"):
-                numerical_pressure(
-                    unit_well, 1, use_eigenvalues=True, grid=GridSpec(64, richardson_levels)
-                )
+        with pytest.raises(ConvergenceError, match="not finite"):
+            numerical_pressure(unit_well, 1, use_eigenvalues=True)
