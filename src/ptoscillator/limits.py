@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParameterError
-from .parameters import PTParameters, check_level, derive_scales
+from .parameters import PTParameters, check_finite, check_single_level, derive_scales
 from .spectra import levels
 
 __all__ = [
@@ -65,12 +65,18 @@ class LimitExpansion:
             raise InvalidParameterError("order_kept must be 1, 2 or 3")
 
     def energy(self, n: int) -> float:
-        """Approximate level energy at this expansion order."""
-        check_level(n)
+        """Approximate level energy at this expansion order.
+
+        Raises :class:`DomainError` when the energy is not finite.
+        """
+        check_single_level(n)
         ho_part = self.oscillator_quantum_approx * (n - 0.5)
         if self.regime == HO_REGIME and self.order_kept == 1:
-            return ho_part
-        return self.kinetic_scale * n * n + ho_part
+            energy = ho_part
+        else:
+            energy = self.kinetic_scale * n * n + ho_part
+        check_finite("approximate energy", n, energy)
+        return energy
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,18 +26,21 @@ alternate in parity, starting with even (Cantoni & Butler, Linear
 Algebra Appl. 13, 275 (1976)), so level n is the ((n - 1) // 2)-th
 eigenvalue of the even block for odd n and of the odd block for even n.
 
-Richardson extrapolation over grids N, 2N+1, (4N+3) removes the leading
-h^2 (and h^4) error terms.  Level pressures come from the Hellmann-Feynman
-identity on each grid: in the scaled coordinate x = L u the matrix is
-K / L^2 + V(u) with V(u) independent of L, so the discrete level obeys
+Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
+leading error terms: h^2 and h^4, or, for 0 < V0 / T < 3/4, the wall term
+h^q, q = sqrt(1 + 4 V0 / T), and h^2 (Sidi, Practical Extrapolation
+Methods, CUP 2003, on non-integer exponents).  Level pressures come from
+the Hellmann-Feynman identity on each grid: in the scaled coordinate
+x = L u the matrix is K / L^2 + V(u) with V(u) independent of L, so the
+discrete level obeys
 
     -dE_h/dL = (2 / L) (E_h - sum_i V_i psi_i^2)
 
 exactly for its normalized eigenvector psi.  For a unit eigenvector u of
 the level's parity block that sum is sum_i V_i u_i^2 over the block's
 nodes, so the block vector serves in place of psi.  These per-grid
-pressures are extrapolated with the same weights as the eigenvalues; no
-step in L is taken.
+pressures, on the fixed grids N = 4000 and 8001, are extrapolated with
+the exponents of the eigenvalues; no step in L is taken.
 """
 
 from __future__ import annotations
@@ -200,24 +203,38 @@ def _fd_pressure(params: PTParameters, n_points: int, n: int) -> float:
     return 2.0 * kinetic_energy / params.half_width
 
 
-def _richardson(columns: list) -> tuple:
-    """Extrapolate values from grids whose spacing halves at each step.
+def _wall_exponents(params: PTParameters) -> tuple:
+    """Exponents of the two leading error terms of a level, in h.
+
+    Near a wall V ~ V0 / (alpha d)^2 at distance d, so the level function
+    goes as d^s with s (s - 1) = V0 / T, T = hbar^2 alpha^2 / (2 m), and
+    the wall adds an error term h^q, q = 2 s - 1 = sqrt(1 + 4 V0 / T), to
+    the bulk h^2.  It leads when q < 2, i.e. V0 / T < 3/4; a box
+    (V0 = 0) has no wall term.
+    """
+    kinetic = (params.hbar * params.hbar) * (params.alpha * params.alpha) / (2.0 * params.mass)
+    if 0.0 < params.well_depth < 0.75 * kinetic:
+        return math.sqrt(1.0 + 4.0 * (params.well_depth / kinetic)), 2
+    return 2, 4
+
+
+def _richardson(columns: list, exponents: tuple) -> tuple:
+    """Extrapolate values from grids whose spacing halves at each step,
+    removing the error terms h^p for the p of ``exponents`` in turn.
 
     Returns the extrapolated value and the magnitude of the last
     correction, or NaN when there is a single grid.  Raises
     :class:`ConvergenceError` when the extrapolated value is not finite.
     """
     estimate = np.full_like(columns[0], np.nan)
-    order = 2
-    while len(columns) > 1:
-        weight = 2.0**order
+    for exponent in exponents[: len(columns) - 1]:
+        weight = 2.0**exponent
         previous = columns
         columns = [
             (weight * columns[i + 1] - columns[i]) / (weight - 1.0)
             for i in range(len(columns) - 1)
         ]
         estimate = np.abs(columns[0] - previous[-1])
-        order += 2
     if not np.all(np.isfinite(columns[0])):
         raise ConvergenceError(f"extrapolated values are not finite: {columns[0]!r}")
     return columns[0], estimate
@@ -228,7 +245,7 @@ def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum
     columns = [
         _fd_lowest_eigenvalues(params, size, grid.level_count) for size in grid.grid_sequence()
     ]
-    eigenvalues, estimates = _richardson(columns)
+    eigenvalues, estimates = _richardson(columns, _wall_exponents(params))
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
             "extrapolated eigenvalues are not strictly increasing and positive; "
@@ -250,7 +267,7 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
     check_single_level(n)
     if use_eigenvalues:
         columns = [_fd_pressure(params, size, n) for size in _PRESSURE_GRID.grid_sequence()]
-        return float(_richardson(columns)[0])
+        return float(_richardson(columns, _wall_exponents(params))[0])
 
     length = params.half_width
 
@@ -259,7 +276,8 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
         lower = levels(replace(params, half_width=length * (1.0 - delta)), n).energy_total
         return -(upper - lower) / (2.0 * length * delta)
 
-    return float(_richardson([quotient(_DIFFERENCE_STEP), quotient(0.5 * _DIFFERENCE_STEP)])[0])
+    quotients = [quotient(_DIFFERENCE_STEP), quotient(0.5 * _DIFFERENCE_STEP)]
+    return float(_richardson(quotients, (2,))[0])
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     QuadratureError,
 )
-from .parameters import PTParameters, check_level, check_single_level, derive_scales
+from .parameters import PTParameters, check_finite, check_single_level, derive_scales
 
 __all__ = [
     "ActionEvaluation",
@@ -124,11 +124,16 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
 
 
 def qc_energy_closed(params: PTParameters, n: int) -> float:
-    """Semiclassical level energy from the closed-form action inversion."""
-    check_level(n)
+    """Semiclassical level energy from the closed-form action inversion.
+
+    Raises :class:`DomainError` when the energy is not finite.
+    """
+    check_single_level(n)
     scales = derive_scales(params)
     root = math.sqrt(scales.kinetic_scale) * (n - 0.5) + math.sqrt(params.well_depth)
-    return root * root - params.well_depth
+    energy = root * root - params.well_depth
+    check_finite("semiclassical energy", n, energy)
+    return energy
 
 
 def qc_energy_numeric(params: PTParameters, n: int) -> float:
@@ -139,7 +144,6 @@ def qc_energy_numeric(params: PTParameters, n: int) -> float:
     """
     from scipy.optimize import brentq
 
-    check_single_level(n)
     closed = qc_energy_closed(params, n)
     target = 2.0 * math.pi * params.hbar * (n - 0.5)
 

@@ -314,6 +314,14 @@ class TestValidate:
         )
         assert code == 0
 
+    # the oracle extrapolates the wall error term h^sqrt(1 + 4 V0 / T) here
+    @pytest.mark.parametrize("depth", ["0.02", "0.05"])
+    def test_shallow_wells_pass(self, capsys, depth):
+        code, _ = run_cli(
+            capsys, ["validate", "--well-depth", depth, "--half-width", "1.5707963267948966"]
+        )
+        assert code == 0
+
     def test_coarse_grid_breaches_tolerance(self, capsys):
         code, _ = run_cli(capsys, ["validate", *UNIT_WELL_FLAGS, "--grid-n", "64"])
         assert code == 4

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptoscillator import (
@@ -11,12 +11,15 @@ from ptoscillator import (
     HO_REGIME,
     DomainError,
     InvalidParameterError,
+    PTOscillatorError,
     PTParameters,
     derive_scales,
     fp_limit_expansion,
     ho_limit_expansion,
     levels,
     limit_equation_of_state,
+    perturbed_energy,
+    qc_energy_closed,
 )
 
 mp.mp.dps = 50
@@ -82,6 +85,12 @@ class TestBoxSideExpansion:
         for bad in (1.5, 0, True):
             with pytest.raises(InvalidParameterError):
                 expansion.energy(bad)
+
+    def test_energy_overflow_is_domain_error(self):
+        # T ~ 1.2e300, so T n^2 overflows at n = 10^6
+        expansion = fp_limit_expansion(PTParameters(1.0, 0.0, 1e-150), order=2)
+        with pytest.raises(DomainError, match="floating-point range"):
+            expansion.energy(10**6)
 
 
 class TestOscillatorSideExpansion:
@@ -229,3 +238,42 @@ class TestEquationOfState:
         level = levels(nearly_ho, 1)
         s_ho = level.pressure_total * nearly_ho.half_width / level.energy_total
         assert s_ho == pytest.approx(1.0, abs=1e-4)
+
+
+full_range = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+
+
+class TestFullFloatRange:
+    @pytest.mark.filterwarnings("error")
+    @given(
+        mass=full_range,
+        depth=st.one_of(st.just(0.0), full_range),
+        half_width=full_range,
+        hbar=full_range,
+        n=st.integers(min_value=1, max_value=10**6),
+    )
+    # T ~ 1.2e300: T n^2 overflows, a corner the random search seldom reaches
+    @example(mass=1.0, depth=0.0, half_width=1e-150, hbar=1.0, n=10**6)
+    @settings(max_examples=500, deadline=None)
+    def test_approximate_energies_are_finite_or_typed_error(
+        self, mass, depth, half_width, hbar, n
+    ):
+        params = PTParameters(mass, depth, half_width, hbar)
+        energies = [
+            lambda: qc_energy_closed(params, n),
+            lambda: perturbed_energy(params, n).total,
+        ]
+        for expand, orders in ((fp_limit_expansion, (1, 2)), (ho_limit_expansion, (1, 2, 3))):
+            for order in orders:
+                try:
+                    expansion = expand(params, order)
+                except PTOscillatorError:
+                    continue
+                energies.append(lambda expansion=expansion: expansion.energy(n))
+        for energy in energies:
+            try:
+                value = energy()
+            except PTOscillatorError:
+                continue
+            assert isinstance(value, float)
+            assert math.isfinite(value)

@@ -62,7 +62,11 @@ class TestSolveEigenvalues:
         expected = np.array([0.75, 2.75, 5.75])
         assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-6
 
-    @pytest.mark.parametrize("lam_target", [0.01, 1.0, 100.0])
+    # V0 / T = lambda (lambda + 2) / 4 runs from 2e-3 to 10, plus 2550.  The
+    # wall adds an error term h^q, q = sqrt(1 + 4 V0 / T), which leads the
+    # bulk h^2 for V0 / T < 3/4; the measured worst error at these points
+    # with V0 / T <= 10 is 1.3e-8, and 1.8e-6 with h^2/h^4 weights.
+    @pytest.mark.parametrize("lam_target", [0.004, 0.01, 0.04, 0.1, 0.3, 1.0, 2.3, 5.4, 100.0])
     def test_mutual_validation_across_regimes(self, lam_target):
         kinetic = 0.5  # L = pi/2
         depth = kinetic * lam_target * (lam_target + 2) / 4.0
@@ -70,6 +74,15 @@ class TestSolveEigenvalues:
         spectrum = solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
         expected = closed_energies(params, 10)
         assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-6
+
+    def test_wall_exponent_rule(self, request):
+        # the oracle solves the indicial equation itself; 2 s - 1 = 1 + lambda
+        for well in ("unit_well", "wide_well", "box"):
+            assert oracle._wall_exponents(request.getfixturevalue(well)) == (2, 4)
+        shallow = request.getfixturevalue("shallow_well")
+        exponent, bulk = oracle._wall_exponents(shallow)
+        assert exponent == pytest.approx(1.0 + derive_scales(shallow).lambda_exact, rel=1e-14)
+        assert bulk == 2
 
     def test_extrapolation_beats_raw_solve(self, unit_well):
         expected = closed_energies(unit_well, 3)
@@ -145,10 +158,15 @@ class TestNumericalPressure:
     @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_eigenvalue_mode_accuracy(self, request, well, n):
-        # Default grid; the measured worst relative error is 2.4e-7.
+        # Fixed grid; the measured worst relative error is 5.6e-7 (shallow well).
         params = request.getfixturevalue(well)
         numeric = numerical_pressure(params, n, use_eigenvalues=True)
         assert numeric == pytest.approx(levels(params, n).pressure_total, rel=1e-6)
+
+    def test_level_above_fixed_grid_is_invalid(self, unit_well):
+        # the coarser fixed grid has 4000 nodes
+        with pytest.raises(InvalidParameterError, match="cannot request 4001"):
+            numerical_pressure(unit_well, 4001, use_eigenvalues=True)
 
 
 WELLS = ["unit_well", "wide_well", "shallow_well", "box"]

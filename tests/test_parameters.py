@@ -11,9 +11,11 @@ from ptoscillator import (
     InvalidParameterError,
     PTParameters,
     derive_scales,
+    fp_limit_expansion,
     numerical_pressure,
     perturbed_energy,
     potential,
+    qc_energy_closed,
     qc_energy_numeric,
 )
 
@@ -195,10 +197,21 @@ class TestSingleLevelCheck:
         "one_level",
         [
             perturbed_energy,
+            qc_energy_closed,
             qc_energy_numeric,
             lambda params, n: numerical_pressure(params, n, use_eigenvalues=True),
+            # the box-side expansion needs V0 / T < 1/4
+            lambda params, n: fp_limit_expansion(
+                PTParameters(params.mass, 0.005, params.half_width, params.hbar), 2
+            ).energy(n),
         ],
-        ids=["perturbed_energy", "qc_energy_numeric", "numerical_pressure"],
+        ids=[
+            "perturbed_energy",
+            "qc_energy_closed",
+            "qc_energy_numeric",
+            "numerical_pressure",
+            "limit_expansion_energy",
+        ],
     )
     def test_array_level_is_invalid_parameter(self, unit_well, one_level):
         with pytest.raises(InvalidParameterError):

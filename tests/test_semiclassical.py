@@ -136,6 +136,19 @@ class TestClosedFormLevels:
             qc_energy_closed(unit_well, 0)
 
 
+class TestNonFiniteEnergy:
+    # T ~ 1.2e300, so (sqrt(T) (n - 1/2))^2 overflows at n = 10^6
+    params = PTParameters(mass=1.0, well_depth=0.0, half_width=1e-150)
+
+    def test_closed_form_is_domain_error(self):
+        with pytest.raises(DomainError, match="floating-point range"):
+            qc_energy_closed(self.params, 10**6)
+
+    def test_numeric_is_domain_error(self):
+        with pytest.raises(DomainError, match="floating-point range"):
+            qc_energy_numeric(self.params, 10**6)
+
+
 class TestNumericLevels:
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_matches_closed_form(self, unit_well, n):
