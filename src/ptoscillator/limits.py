@@ -34,11 +34,26 @@ __all__ = [
 FP_REGIME = "FP"
 HO_REGIME = "HO"
 
-# Validity guards for the two expansions, in terms of V0 / T.  The
+# Validity region of each regime: an open interval of V0 / T.  The
 # underlying statements are only asymptotic; these cut points keep the
 # leading neglected term below a few percent.
-_FP_MAX_DEPTH_RATIO = 0.25
-_HO_MIN_DEPTH_RATIO = 4.0
+_REGIME_GUARDS = {
+    FP_REGIME: (-math.inf, 0.25, "box limit requires well_depth / kinetic_scale < 0.25"),
+    HO_REGIME: (4.0, math.inf, "oscillator limit requires well_depth / kinetic_scale > 4.0"),
+}
+
+
+def _regime_scales(params: PTParameters, regime: str) -> tuple:
+    """Scales of the well and its V0 / T; raises :class:`DomainError`
+    unless V0 / T lies inside ``regime``'s validity region."""
+    if regime not in (FP_REGIME, HO_REGIME):
+        raise InvalidParameterError(f"regime must be {FP_REGIME!r} or {HO_REGIME!r}, got {regime!r}")
+    low, high, requirement = _REGIME_GUARDS[regime]
+    scales = derive_scales(params)
+    depth_ratio = params.well_depth / scales.kinetic_scale
+    if not low < depth_ratio < high:
+        raise DomainError(f"{requirement}, got {depth_ratio!r}")
+    return scales, depth_ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,13 +112,7 @@ def fp_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     """
     if order not in (1, 2):
         raise InvalidParameterError(f"box-side expansion order must be 1 or 2, got {order!r}")
-    scales = derive_scales(params)
-    depth_ratio = params.well_depth / scales.kinetic_scale
-    if depth_ratio >= _FP_MAX_DEPTH_RATIO:
-        raise DomainError(
-            f"box limit requires well_depth / kinetic_scale < {_FP_MAX_DEPTH_RATIO}, "
-            f"got {depth_ratio!r}"
-        )
+    scales, depth_ratio = _regime_scales(params, FP_REGIME)
     x = 4.0 * depth_ratio
     lam = 0.5 * x
     if order >= 2:
@@ -128,13 +137,7 @@ def ho_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
         raise InvalidParameterError(
             f"oscillator-side expansion order must be 1, 2 or 3, got {order!r}"
         )
-    scales = derive_scales(params)
-    depth_ratio = params.well_depth / scales.kinetic_scale
-    if depth_ratio <= _HO_MIN_DEPTH_RATIO:
-        raise DomainError(
-            f"oscillator limit requires well_depth / kinetic_scale > {_HO_MIN_DEPTH_RATIO}, "
-            f"got {depth_ratio!r}"
-        )
+    scales, depth_ratio = _regime_scales(params, HO_REGIME)
     lam_tilde = 2.0 * math.sqrt(depth_ratio)
     lam = lam_tilde
     if order >= 2:
@@ -155,16 +158,10 @@ def limit_equation_of_state(params: PTParameters, n: int, regime: str) -> Approx
     limiting value (2 on the box side, 1 on the oscillator side).
 
     The parameters must lie inside the claimed regime's validity
-    region, enforced with the same guards as the expansions.
+    region, enforced with the same guard as the expansions.
     """
-    if regime == FP_REGIME:
-        fp_limit_expansion(params, order=1)
-        s_limit = 2.0
-    elif regime == HO_REGIME:
-        ho_limit_expansion(params, order=1)
-        s_limit = 1.0
-    else:
-        raise InvalidParameterError(f"regime must be {FP_REGIME!r} or {HO_REGIME!r}, got {regime!r}")
+    _regime_scales(params, regime)
+    s_limit = 2.0 if regime == FP_REGIME else 1.0
     level = levels(params, n)
     s_eff = level.pressure_total * params.half_width / level.energy_total
     return ApproximationReport(

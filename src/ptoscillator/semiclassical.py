@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     QuadratureError,
 )
-from .parameters import PTParameters, check_finite, check_single_level, derive_scales
+from .parameters import PTParameters, check_finite, check_single_level, derive_scales, potential
 
 __all__ = [
     "ActionEvaluation",
@@ -57,9 +57,7 @@ def classical_momentum(params: PTParameters, x: float, energy: float) -> float:
     """
     if energy <= 0.0:
         raise InvalidParameterError(f"energy must be positive, got {energy!r}")
-    if abs(x) >= params.half_width:
-        raise DomainError(f"|x| must be below the wall at {params.half_width!r}")
-    v = params.well_depth * math.tan(params.alpha * x) ** 2
+    v = potential(params, x)
     gap = energy - v
     if gap < 0.0:
         if gap < -_TURNING_SLACK * max(energy, v):
@@ -101,8 +99,6 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
     """
     from scipy.integrate import quad
 
-    if energy <= 0.0:
-        raise InvalidParameterError(f"energy must be positive, got {energy!r}")
     x0 = turning_point(params, energy)
     alpha = params.alpha
     two_m = 2.0 * params.mass
