@@ -142,10 +142,13 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
     # Offsets from the centre are exact in floating point, so the sampled
     # potential is exactly mirror-symmetric, as the parity fold assumes.
     nodes = spacing * (np.arange(1, n_points - n_points // 2 + 1) - 0.5 * (n_points + 1))
-    kinetic = params.hbar**2 / (2.0 * params.mass * spacing**2)
-    values = potential(params, nodes)
-    diagonal = 2.0 * kinetic + values
-    if not (np.isfinite(kinetic) and np.isfinite(diagonal).all()):
+    # numpy arithmetic, so that k or V overflowing, or h^2 underflowing,
+    # ends in the range check below instead of a float exception
+    with np.errstate(all="ignore"):
+        kinetic = np.float64(params.hbar * params.hbar) / (2.0 * params.mass * (spacing * spacing))
+        values = potential(params, nodes)
+        diagonal = 2.0 * kinetic + values
+    if not (0.0 < kinetic < math.inf and np.isfinite(diagonal).all()):
         raise DomainError(
             f"finite-difference Hamiltonian on {n_points} points leaves the floating-point range"
         )

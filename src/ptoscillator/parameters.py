@@ -163,10 +163,10 @@ def potential(params: PTParameters, x):
     """Evaluate V(x) = V0 tan^2(alpha x) for scalar or array ``x``.
 
     Raises :class:`DomainError` if any coordinate reaches the walls,
-    where the potential is singular.
+    where the potential is singular, or is NaN.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) >= params.half_width):
+    if not np.all(np.abs(arr) < params.half_width):
         raise DomainError(
             f"coordinate outside the open interval (-L, L) with L={params.half_width!r}"
         )

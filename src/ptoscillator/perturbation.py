@@ -44,7 +44,7 @@ def potential_series_eval(params: PTParameters, x: float, k_max: int) -> float:
     if k_max not in (1, 2, 3):
         raise InvalidParameterError(f"series truncation must be 1, 2 or 3, got {k_max!r}")
     y = params.alpha * x
-    if abs(y) >= 0.5 * math.pi:
+    if not abs(y) < 0.5 * math.pi:
         raise DomainError(f"|alpha x| must be below pi/2, got {abs(y)!r}")
     y2 = y * y
     total = 0.0

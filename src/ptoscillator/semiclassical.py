@@ -52,11 +52,11 @@ _TURNING_SLACK = 1e-12
 def classical_momentum(params: PTParameters, x: float, energy: float) -> float:
     """Classical momentum sqrt(2 m (E - V(x))), zero at the turning point.
 
-    Raises :class:`DomainError` when |x| >= L or the point is
-    classically forbidden (E < V(x)).
+    Raises :class:`DomainError` when x is not inside (-L, L) or the
+    point is classically forbidden (E < V(x)).
     """
-    if energy <= 0.0:
-        raise InvalidParameterError(f"energy must be positive, got {energy!r}")
+    if not 0.0 < energy < math.inf:
+        raise InvalidParameterError(f"energy must be positive and finite, got {energy!r}")
     v = potential(params, x)
     gap = energy - v
     if gap < 0.0:
@@ -72,8 +72,8 @@ def turning_point(params: PTParameters, energy: float) -> float:
     A zero-depth well has no turning point; the wall L is returned as
     the edge of the classically allowed region.
     """
-    if energy <= 0.0:
-        raise InvalidParameterError(f"energy must be positive, got {energy!r}")
+    if not 0.0 < energy < math.inf:
+        raise InvalidParameterError(f"energy must be positive and finite, got {energy!r}")
     if params.well_depth == 0.0:
         return params.half_width
     return math.atan(math.sqrt(energy / params.well_depth)) / params.alpha
@@ -112,7 +112,9 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
     quarter, err = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-12, limit=200)
     total = 4.0 * quarter
     total_err = 4.0 * err
-    if total_err > _ACTION_REL_TOL * total:
+    if not math.isfinite(total):
+        raise DomainError(f"action at E={energy!r} leaves the floating-point range ({total!r})")
+    if not total_err <= _ACTION_REL_TOL * total:
         raise QuadratureError(
             f"action quadrature error {total_err!r} exceeds {_ACTION_REL_TOL} relative"
         )

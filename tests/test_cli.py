@@ -177,13 +177,24 @@ class TestSweep:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("endpoints", [["--from=-inf", "--to=1"], ["--from=0", "--to=inf"]])
-    def test_non_finite_endpoint_rejected(self, capsys, endpoints):
-        code = cli.main(["sweep", "--half-width", "1", "--sweep-var", "well-depth",
-                         *endpoints, "--steps", "3"])
+    # the missing-option cases run the sweep guards that precede the finiteness check
+    @pytest.mark.parametrize(
+        "options,requirement",
+        [
+            pytest.param(["--sweep-var", "well-depth", "--from=-inf", "--to=1"],
+                         "finite --from and --to", id="endpoints0"),
+            pytest.param(["--sweep-var", "well-depth", "--from=0", "--to=inf"],
+                         "finite --from and --to", id="endpoints1"),
+            pytest.param(["--sweep-var", "well-depth", "--from=0"], "--from and --to",
+                         id="missing-to"),
+            pytest.param(["--from=0", "--to=1"], "--sweep-var", id="missing-sweep-var"),
+        ],
+    )
+    def test_non_finite_endpoint_rejected(self, capsys, options, requirement):
+        code = cli.main(["sweep", "--half-width", "1", *options, "--steps", "3"])
         captured = capsys.readouterr()
         assert code == 3
-        assert captured.err == "error: sweep requires finite --from and --to\n"
+        assert captured.err == f"error: sweep requires {requirement}\n"
 
     def test_too_many_steps_is_resource_error(self, capsys):
         # rejected before any sweep point is allocated
@@ -225,6 +236,11 @@ class TestFloatRangeGuard:
             ["compare", "--half-width", "1e-5", "--well-depth", "1e300",
              "--method", "perturbation", "--n-max", "2"],
             ["validate", "--mass", "1e-300", "--well-depth", "1", "--half-width", "1e-5"],
+            # the oracle's own hbar^2 / (2 m h^2) leaves the float range
+            ["validate", "--half-width", "1e200"],
+            ["validate", "--half-width", "1e-200"],
+            ["validate", "--hbar", "1e200", "--half-width", "1"],
+            ["validate", "--mass", "1e308", "--half-width", "1"],
         ],
     )
     def test_overflowing_scales_are_domain_errors(self, capsys, argv):

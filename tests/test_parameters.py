@@ -8,23 +8,33 @@ from hypothesis import strategies as st
 
 from ptoscillator import (
     DomainError,
+    GridSpec,
     InvalidParameterError,
     PTParameters,
+    convergence_study,
     derive_scales,
     fp_limit_expansion,
+    levels,
     numerical_pressure,
     perturbed_energy,
     potential,
     qc_energy_closed,
     qc_energy_numeric,
+    solve_eigenvalues,
 )
 
 mp.mp.dps = 50
 
 
-def lambda_literal_highprec(depth_over_kinetic: float) -> float:
-    """Extended-precision evaluation of sqrt(1 + 4 V0/T) - 1."""
-    return float(mp.sqrt(1 + 4 * mp.mpf(depth_over_kinetic)) - 1)
+def lambda_literal(ratio) -> mp.mpf:
+    """The literal sqrt(1 + r) - 1, r = 4 V0 / T, with the working precision
+    raised by the digits its cancellation loses, so that it keeps about 50."""
+    with mp.workdps(mp.mp.dps + max(0, 1 - int(mp.log10(ratio)))):
+        return +(mp.sqrt(1 + ratio) - 1)
+
+
+# 4 V0 / T = 10^exponent from 1e-300 to 1e300
+RATIO_EXPONENTS = [-300, -200, -100, -60, -30, -20, *range(-12, 13, 2), 20, 30, 60, 100, 200, 300]
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -116,15 +126,36 @@ class TestDeriveScales:
         wide = derive_scales(PTParameters(mass, depth, lo * growth, hbar))
         assert wide.lambda_exact > narrow.lambda_exact
 
-    @pytest.mark.parametrize("exponent", range(-12, 13, 2))
+    @pytest.mark.parametrize("exponent", RATIO_EXPONENTS)
     def test_stable_form_matches_literal_form(self, exponent):
         # The rationalized lambda must agree with an extended-precision
-        # evaluation of the literal sqrt(1 + 4 V0/T) - 1 across 24 decades.
+        # evaluation of the literal sqrt(1 + 4 V0/T) - 1 across 600 decades.
         ratio = 10.0**exponent  # 4 V0 / T
         depth = ratio * 0.5 / 4.0  # L = pi/2 gives T = 1/2
         scales = derive_scales(PTParameters(mass=1, well_depth=depth, half_width=math.pi / 2))
-        literal = float(mp.sqrt(1 + mp.mpf(ratio)) - 1)
+        literal = float(lambda_literal(mp.mpf(ratio)))
         assert scales.lambda_exact == pytest.approx(literal, rel=1e-13)
+
+    @pytest.mark.parametrize("exponent", RATIO_EXPONENTS)
+    def test_levels_match_extended_precision(self, exponent):
+        # E_n = T n^2 + T lambda (n - 1/2) with the literal lambda, and
+        # P_n = -dE_n/dL by mpmath's numerical derivative, in extended
+        # precision for the float inputs of each well.
+        for half_width in (math.pi / 2, 1.0, 3.0):
+            kinetic = derive_scales(PTParameters(1.0, 0.0, half_width)).kinetic_scale
+            params = PTParameters(1.0, 10.0**exponent * kinetic / 4.0, half_width)
+            depth = mp.mpf(params.well_depth)
+
+            def energy(length, n):
+                scale = (mp.pi / (2 * length)) ** 2 / 2
+                return scale * n**2 + scale * lambda_literal(4 * depth / scale) * (n - 0.5)
+
+            length = mp.mpf(half_width)
+            for n in (1, 7, 1000):
+                level = levels(params, n)
+                assert level.energy_total == pytest.approx(float(energy(length, n)), rel=1e-13)
+                pressure = -mp.diff(lambda x: energy(x, n), length)
+                assert level.pressure_total == pytest.approx(float(pressure), rel=1e-13)
 
     @pytest.mark.parametrize("exponent", range(-12, 13, 2))
     def test_psi_identity(self, exponent):
@@ -165,10 +196,19 @@ class TestValidation:
             dict(half_width=1.0, mass=1e308),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_scales_out_of_float_range_rejected(self, kwargs):
+        # the oracle derives its own hbar^2 / (2 m h^2) and guards it too
         params = PTParameters(**{"mass": 1.0, "well_depth": 0.375, **kwargs})
-        with pytest.raises(DomainError):
-            derive_scales(params)
+        for evaluate in (
+            derive_scales,
+            lambda p: solve_eigenvalues(p, GridSpec(4000, 3, 10)),
+            lambda p: numerical_pressure(p, 1),
+            lambda p: numerical_pressure(p, 1, use_eigenvalues=True),
+            lambda p: convergence_study(p, [500, 1001], 3),
+        ):
+            with pytest.raises(DomainError):
+                evaluate(params)
 
 
 class TestPotential:
@@ -190,6 +230,10 @@ class TestPotential:
             potential(unit_well, unit_well.half_width)
         with pytest.raises(DomainError):
             potential(unit_well, np.array([0.0, -unit_well.half_width]))
+        with pytest.raises(DomainError):
+            potential(unit_well, math.nan)
+        with pytest.raises(DomainError):
+            potential(unit_well, np.array([0.0, math.nan]))
 
 
 class TestSingleLevelCheck:

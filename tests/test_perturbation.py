@@ -77,6 +77,8 @@ class TestPotentialSeriesEval:
     def test_domain_guard(self, unit_well):
         with pytest.raises(DomainError):
             potential_series_eval(unit_well, unit_well.half_width, 2)
+        with pytest.raises(DomainError):
+            potential_series_eval(unit_well, math.nan, 2)
 
 
 class TestPerturbedEnergy:

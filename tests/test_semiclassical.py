@@ -47,6 +47,13 @@ class TestClassicalMomentum:
     def test_wall_rejected(self, unit_well):
         with pytest.raises(DomainError):
             classical_momentum(unit_well, unit_well.half_width, 10.0)
+        with pytest.raises(DomainError):
+            classical_momentum(unit_well, math.nan, 10.0)
+
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_nonpositive_energy(self, unit_well, energy):
+        with pytest.raises(InvalidParameterError):
+            classical_momentum(unit_well, 0.0, energy)
 
 
 class TestTurningPoint:
@@ -78,8 +85,9 @@ class TestTurningPoint:
         assert turning_point(box, 3.0) == box.half_width
 
     def test_rejects_nonpositive_energy(self, unit_well):
-        with pytest.raises(InvalidParameterError):
-            turning_point(unit_well, 0.0)
+        for energy in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                turning_point(unit_well, energy)
 
 
 class TestAction:
@@ -110,8 +118,14 @@ class TestAction:
             assert abs(enclosed - target) <= 1e-8 * target
 
     def test_rejects_nonpositive_energy(self, unit_well):
-        with pytest.raises(InvalidParameterError):
-            action(unit_well, -1.0)
+        for energy in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                action(unit_well, energy)
+
+    def test_overflowing_action_is_domain_error(self, unit_well):
+        # 2 m (E - V) overflows inside the orbit
+        with pytest.raises(DomainError, match="floating-point range"):
+            action(unit_well, 1e308)
 
 
 class TestClosedFormLevels:
