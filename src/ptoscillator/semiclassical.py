@@ -95,7 +95,9 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
     uniform rule converges poorly there.  Substituting x = x0 sin(theta)
     absorbs the square root and leaves a smooth integrand on
     [0, pi/2], which adaptive quadrature then resolves to near machine
-    precision.
+    precision.  Raises :class:`DomainError` when the action is not
+    finite and :class:`QuadratureError` when its error bound is not
+    within 1e-10 relative.
     """
     from scipy.integrate import quad
 
