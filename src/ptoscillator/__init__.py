@@ -3,7 +3,6 @@ pressure spectra, limiting regimes, semiclassical and perturbative
 approximations, and an independent finite-difference oracle."""
 
 from .errors import (
-    BracketingError,
     ConvergenceError,
     DomainError,
     InvalidParameterError,
@@ -56,7 +55,6 @@ __all__ = [
     "InvalidParameterError",
     "DomainError",
     "QuadratureError",
-    "BracketingError",
     "ConvergenceError",
     "ResourceLimitError",
     "PTParameters",

@@ -19,12 +19,9 @@ class QuadratureError(PTOscillatorError, RuntimeError):
     """Numerical integration could not reach the requested tolerance."""
 
 
-class BracketingError(PTOscillatorError, RuntimeError):
-    """A root finder was handed an interval that does not bracket a root."""
-
-
 class ConvergenceError(PTOscillatorError, RuntimeError):
-    """An iterative eigenvalue computation failed to converge."""
+    """An iterative computation (eigenvalue bisection, extrapolation or
+    Newton's method) failed to converge."""
 
 
 class ResourceLimitError(PTOscillatorError, RuntimeError):

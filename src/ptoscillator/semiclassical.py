@@ -15,10 +15,9 @@ so the levels invert to
     E_n = (sqrt(T) (n - 1/2) + sqrt(V0))^2 - V0
         = T (n - 1/2)^2 + 2 sqrt(V0 T) (n - 1/2).
 
-Both routes are provided: the closed form and a quadrature-plus-root-find
-evaluation used to validate it.  scipy's quadrature and root finder are
-imported on the first call of :func:`action` or :func:`qc_energy_numeric`,
-so the closed form never loads scipy.
+Both routes are provided: the closed form and, to validate it, the
+action by a fixed tanh-sinh rule in numpy plus Newton's method on
+I(E) = 2 pi hbar (n - 1/2), whose slope dI/dE is the orbit period.
 """
 
 from __future__ import annotations
@@ -26,12 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BracketingError,
-    DomainError,
-    InvalidParameterError,
-    QuadratureError,
-)
+import numpy as np
+
+from .errors import ConvergenceError, DomainError, InvalidParameterError, QuadratureError
 from .parameters import PTParameters, check_finite, check_single_level, derive_scales, potential
 
 __all__ = [
@@ -47,6 +43,15 @@ _ACTION_REL_TOL = 1e-10
 # Momentum arguments may dip a hair below zero at the turning point from
 # rounding alone; treat that as exactly zero.
 _TURNING_SLACK = 1e-12
+
+# Tanh-sinh rule on theta in [0, pi/2] (Takahasi & Mori, Publ. RIMS 9, 721 (1974)):
+# theta = (pi/4) (1 + tanh u), u = (pi/2) sinh t, step 1/32 on t in [-3.5, 3.5]; the even
+# nodes form the step-1/16 rule.  Nodes are stored as c = pi/4 - theta/2, so those near
+# pi/2 keep their digits; weights include cos(theta) = sin(2c), from x = x0 sin(theta).
+_T = np.arange(-112, 113) / 32.0
+_U = 0.5 * np.pi * np.sinh(_T)
+_NODES = 0.125 * np.pi * np.exp(-_U) / np.cosh(_U)
+_WEIGHTS = np.pi**2 / 256.0 * np.cosh(_T) / np.cosh(_U) ** 2 * np.sin(2.0 * _NODES)
 
 
 def classical_momentum(params: PTParameters, x: float, energy: float) -> float:
@@ -69,58 +74,51 @@ def classical_momentum(params: PTParameters, x: float, energy: float) -> float:
 def turning_point(params: PTParameters, energy: float) -> float:
     """Positive turning point x0 with V(x0) = E, inside (0, L).
 
-    A zero-depth well has no turning point; the wall L is returned as
-    the edge of the classically allowed region.
+    A zero-depth well has no turning point; the wall L (to within an
+    ulp) is returned as the edge of the classically allowed region.
     """
     if not 0.0 < energy < math.inf:
         raise InvalidParameterError(f"energy must be positive and finite, got {energy!r}")
-    if params.well_depth == 0.0:
-        return params.half_width
-    return math.atan(math.sqrt(energy / params.well_depth)) / params.alpha
+    return math.atan2(math.sqrt(energy), math.sqrt(params.well_depth)) / params.alpha
 
 
 @dataclass(frozen=True, slots=True)
 class ActionEvaluation:
-    """Closed-orbit action at one energy plus its quadrature error bound."""
+    """Closed-orbit action at one energy, its quadrature error bound and period dI/dE."""
 
     turning_point: float
     action: float
     quadrature_error: float
+    period: float
 
 
 def action(params: PTParameters, energy: float) -> ActionEvaluation:
-    """Closed-orbit action by quadrature.
+    """Closed-orbit action and period dI/dE by the tanh-sinh rule.
 
-    The integrand vanishes like sqrt(x0 - x) at the turning points, so a
-    uniform rule converges poorly there.  Substituting x = x0 sin(theta)
-    absorbs the square root and leaves a smooth integrand on
-    [0, pi/2], which adaptive quadrature then resolves to near machine
-    precision.  Raises :class:`DomainError` when the action is not
-    finite and :class:`QuadratureError` when its error bound is not
-    within 1e-10 relative.
+    With x = x0 sin(theta), a = alpha x0, b = pi/2 - a and d = a (1 - sin theta)
+    = 2 a sin^2 c, the gap E - V = (E + V0) sin(d) sin(2a - d) / sin^2(b + d) is free of
+    cancellation; 2a - d and 2b + d sum to pi, so the sine of the smaller one is taken.
+    The period sums m / p on the same nodes; a node where p underflows to 0 adds 0.
+    Raises :class:`DomainError` when the action or the period is not finite and positive
+    and :class:`QuadratureError` when the step-1/16 rule differs by more than 1e-10 relative.
     """
-    from scipy.integrate import quad
-
     x0 = turning_point(params, energy)
-    alpha = params.alpha
-    two_m = 2.0 * params.mass
-    v0 = params.well_depth
-
-    def integrand(theta: float) -> float:
-        x = x0 * math.sin(theta)
-        gap = energy - v0 * math.tan(alpha * x) ** 2
-        return math.sqrt(two_m * max(gap, 0.0)) * x0 * math.cos(theta)
-
-    quarter, err = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-12, limit=200)
-    total = 4.0 * quarter
-    total_err = 4.0 * err
-    if not math.isfinite(total):
-        raise DomainError(f"action at E={energy!r} leaves the floating-point range ({total!r})")
+    root_e, root_v = math.sqrt(energy), math.sqrt(params.well_depth)
+    a, b = math.atan2(root_e, root_v), math.atan2(root_v, root_e)
+    with np.errstate(all="ignore"):
+        d = 2.0 * a * np.sin(_NODES) ** 2
+        sin_bd = np.sin(b + d)
+        ratio = np.sin(d) / sin_bd * np.sin(np.minimum(2.0 * a - d, 2.0 * b + d)) / sin_bd
+        p = np.sqrt(2.0 * params.mass * (energy + params.well_depth) * ratio)
+        total = float(4.0 * x0 * (_WEIGHTS @ p))
+        total_err = abs(total - float(8.0 * x0 * (_WEIGHTS[::2] @ p[::2])))
+        slowness = np.divide(params.mass, p, out=np.zeros_like(p), where=p > 0.0)
+        period = float(4.0 * x0 * (_WEIGHTS @ slowness))
+    if not (math.isfinite(total) and 0.0 < period < math.inf):
+        raise DomainError(f"action {total!r} or period {period!r} leaves the floating-point range")
     if not total_err <= _ACTION_REL_TOL * total:
-        raise QuadratureError(
-            f"action quadrature error {total_err!r} exceeds {_ACTION_REL_TOL} relative"
-        )
-    return ActionEvaluation(turning_point=x0, action=total, quadrature_error=total_err)
+        raise QuadratureError(f"quadrature error {total_err!r} exceeds {_ACTION_REL_TOL} relative")
+    return ActionEvaluation(x0, total, total_err, period)
 
 
 def qc_energy_closed(params: PTParameters, n: int) -> float:
@@ -139,22 +137,19 @@ def qc_energy_closed(params: PTParameters, n: int) -> float:
 def qc_energy_numeric(params: PTParameters, n: int) -> float:
     """Semiclassical level energy by solving I(E) = 2 pi hbar (n - 1/2).
 
-    The action is strictly increasing in E, so the root is unique; the
-    bracket comes from the closed form widened by 50% each way.
+    Newton's method on the public :func:`action`, with the orbit period
+    as slope, started from the closed form; it stops when a step is
+    within 1e-14 of the energy.  Raises :class:`ConvergenceError` when a
+    step leaves E positive and finite or 20 steps do not settle.
     """
-    from scipy.optimize import brentq
-
-    closed = qc_energy_closed(params, n)
+    energy = qc_energy_closed(params, n)
     target = 2.0 * math.pi * params.hbar * (n - 0.5)
-
-    def residual(energy: float) -> float:
-        return action(params, energy).action - target
-
-    lo, hi = 0.5 * closed, 1.5 * closed
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo > 0.0 or r_hi < 0.0:
-        raise BracketingError(
-            f"action residual does not change sign on [{lo!r}, {hi!r}]; "
-            "quadrature is likely misconfigured"
-        )
-    return brentq(residual, lo, hi, rtol=1e-14, maxiter=200)
+    for _ in range(20):
+        orbit = action(params, energy)
+        step = (orbit.action - target) / orbit.period
+        energy -= step
+        if not 0.0 < energy < math.inf:
+            raise ConvergenceError(f"Newton step drives the energy of level {n} to {energy!r}")
+        if abs(step) <= 1e-14 * energy:
+            return energy
+    raise ConvergenceError(f"Newton's method for level {n} did not settle in 20 steps")

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from ptoscillator import (
-    BracketingError,
+    ActionEvaluation,
+    ConvergenceError,
     DomainError,
     InvalidParameterError,
     PTParameters,
@@ -15,6 +17,7 @@ from ptoscillator import (
     levels,
     qc_energy_closed,
     qc_energy_numeric,
+    semiclassical,
     turning_point,
 )
 
@@ -182,21 +185,33 @@ class TestNumericLevels:
 
 
 class TestQuadratureFailure:
-    # scipy.integrate is imported when the action is evaluated, so
-    # patching the module attribute reaches the call
+    # the action reads the rule and qc_energy_numeric reads the action
+    # from the module, so patching the module attributes reaches the calls
     def test_inaccurate_action_is_quadrature_error(self, monkeypatch, unit_well):
-        import scipy.integrate
-
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 1e-9))
+        # perturbing the odd nodes only moves the fine rule off its step-1/16 sub-rule
+        weights = semiclassical._WEIGHTS.copy()
+        weights[1::2] *= 1.0 + 1e-6
+        monkeypatch.setattr(semiclassical, "_WEIGHTS", weights)
         with pytest.raises(QuadratureError):
             action(unit_well, 1.0)
 
-    def test_residual_without_sign_change_is_bracketing_error(self, monkeypatch, unit_well):
-        import scipy.integrate
+    def test_unsettled_residual_is_convergence_error(self, monkeypatch, unit_well):
+        # the action stays 1e-10 above 2 pi hbar (n - 1/2) = pi whatever the energy,
+        # so every step is about 3e-10, far above 1e-14 E
+        monkeypatch.setattr(
+            semiclassical,
+            "action",
+            lambda params, energy: ActionEvaluation(1.0, math.pi * (1.0 + 1e-10), 0.0, 1.0),
+        )
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            qc_energy_numeric(unit_well, 1)
 
-        # an action far above 2 pi hbar (n - 1/2) at both ends of the bracket
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1e3, 0.0))
-        with pytest.raises(BracketingError):
+    def test_step_to_nonpositive_energy_is_convergence_error(self, monkeypatch, unit_well):
+        # a residual of 10 - pi over a unit period steps E_1 = 0.558 below zero
+        monkeypatch.setattr(
+            semiclassical, "action", lambda params, energy: ActionEvaluation(1.0, 10.0, 0.0, 1.0)
+        )
+        with pytest.raises(ConvergenceError, match="drives the energy"):
             qc_energy_numeric(unit_well, 1)
 
 
