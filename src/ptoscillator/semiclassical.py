@@ -13,7 +13,7 @@ The action integral has the closed form
 so the levels invert to
 
     E_n = (sqrt(T) (n - 1/2) + sqrt(V0))^2 - V0
-        = T (n - 1/2)^2 + 2 sqrt(V0 T) (n - 1/2).
+        = sqrt(T) (n - 1/2) (sqrt(T) (n - 1/2) + 2 sqrt(V0)).
 
 Both routes are provided: the closed form and, to validate it, the
 action by a fixed tanh-sinh rule in numpy plus Newton's method on
@@ -122,14 +122,14 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
 
 
 def qc_energy_closed(params: PTParameters, n: int) -> float:
-    """Semiclassical level energy from the closed-form action inversion.
+    """Semiclassical level energy from the closed-form action inversion,
+    in the product form that does not cancel when V0 >> E.
 
     Raises :class:`DomainError` when the energy is not finite.
     """
     check_single_level(n)
-    scales = derive_scales(params)
-    root = math.sqrt(scales.kinetic_scale) * (n - 0.5) + math.sqrt(params.well_depth)
-    energy = root * root - params.well_depth
+    scaled = math.sqrt(derive_scales(params).kinetic_scale) * (n - 0.5)
+    energy = scaled * (scaled + 2.0 * math.sqrt(params.well_depth))
     check_finite("semiclassical energy", n, energy)
     return energy
 

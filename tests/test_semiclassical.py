@@ -183,6 +183,62 @@ class TestNumericLevels:
             qc_energy_closed(wide_well, 3), rel=1e-8
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_si_electron_well(self, n):
+        # an electron in a 1 nm well 0.1 eV deep: every energy is far below
+        # any absolute tolerance, so only a relative stopping rule resolves it
+        electron = PTParameters(9.1093837015e-31, 1.602176634e-20, 1e-9, 1.054571817e-34)
+        closed = qc_energy_closed(electron, n)
+        assert abs(qc_energy_numeric(electron, n) - closed) <= 1e-12 * closed
+
+
+def extended_level(params: PTParameters, n: int):
+    """Closed-form semiclassical level sqrt(T) (n - 1/2) (sqrt(T) (n - 1/2) + 2 sqrt(V0))
+    of the float inputs, in mpmath at the working precision."""
+    alpha = mp.pi / (2 * mp.mpf(params.half_width))
+    scaled = mp.mpf(params.hbar) * alpha / mp.sqrt(2 * mp.mpf(params.mass)) * (n - mp.mpf(1) / 2)
+    return scaled * (scaled + 2 * mp.sqrt(mp.mpf(params.well_depth)))
+
+
+def extended_action(params: PTParameters, energy: float):
+    """Closed-form action (2 pi sqrt(2 m) / alpha) (sqrt(E + V0) - sqrt(V0)) in mpmath."""
+    alpha = mp.pi / (2 * mp.mpf(params.half_width))
+    depth = mp.mpf(params.well_depth)
+    return 2 * mp.pi * mp.sqrt(2 * mp.mpf(params.mass)) / alpha * (
+        mp.sqrt(mp.mpf(energy) + depth) - mp.sqrt(depth)
+    )
+
+
+class TestExtendedPrecision:
+    # V0 / T from zero and subnormal to 1e30, at L = pi/2 where T = 1/2
+    @pytest.mark.parametrize(
+        "ratio",
+        [0.0, 1e-300, 1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.75, 1.0, 20.0, 1e4, 1e8, 1e14, 1e20, 1e30],
+    )
+    def test_action_and_root_to_near_machine_precision(self, ratio):
+        params = PTParameters(1.0, 0.5 * ratio, math.pi / 2)
+        with mp.workdps(60):
+            for n in (1, 5, 20, 1000, 10**6):
+                energy = qc_energy_closed(params, n)
+                orbit = action(params, energy)
+                exact = extended_action(params, energy)
+                error = abs(orbit.action - exact)
+                assert error <= 1e-13 * exact
+                # the reported error bounds the true one, up to rounding
+                assert error <= orbit.quadrature_error + 1e-15 * orbit.action
+                level = extended_level(params, n)
+                assert abs(qc_energy_numeric(params, n) - level) <= 1e-13 * level
+
+    @pytest.mark.parametrize("ratio", [1e12, 1e20, 1e24, 1e40])
+    def test_closed_form_without_cancellation(self, ratio):
+        # (sqrt(T) (n - 1/2) + sqrt(V0))^2 - V0 loses about eps V0 / E here
+        params = PTParameters(1.0, 0.5 * ratio, math.pi / 2)
+        with mp.workdps(60):
+            for n in (1, 2, 5, 20, 1000):
+                assert qc_energy_closed(params, n) == pytest.approx(
+                    float(extended_level(params, n)), rel=1e-14
+                )
+
 
 class TestQuadratureFailure:
     # the action reads the rule and qc_energy_numeric reads the action
