@@ -25,6 +25,7 @@ oscillator-like from box-like behaviour).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,15 +127,18 @@ def derive_scales(params: PTParameters) -> DerivedScales:
     lambda (lambda + 2) / (lambda + 1).
 
     Raises :class:`DomainError` when T or 4 V0 / T leaves the finite
-    positive floating-point range, instead of returning non-finite
-    scales.
+    floating-point range, or when hbar^2, alpha^2, their product or T is
+    below the smallest normal float (a subnormal keeps only a few bits),
+    instead of returning non-finite or inaccurate scales.
     """
     alpha = params.alpha
-    kinetic = (params.hbar * params.hbar) * (alpha * alpha) / (2.0 * params.mass)
-    if not 0.0 < kinetic < math.inf:
+    hbar_sq, alpha_sq = params.hbar * params.hbar, alpha * alpha
+    kinetic = hbar_sq * alpha_sq / (2.0 * params.mass)
+    if not (min(hbar_sq, alpha_sq, hbar_sq * alpha_sq, kinetic) >= sys.float_info.min
+            and kinetic < math.inf):
         raise DomainError(
-            f"kinetic scale T = hbar^2 alpha^2 / (2 m) = {kinetic!r} is outside the "
-            "finite positive floating-point range"
+            f"kinetic scale T = hbar^2 alpha^2 / (2 m) = {kinetic!r} or one of its factors "
+            "is outside the normal floating-point range"
         )
     ratio = 4.0 * params.well_depth / kinetic
     if not math.isfinite(ratio):
@@ -163,14 +167,18 @@ def potential(params: PTParameters, x):
     """Evaluate V(x) = V0 tan^2(alpha x) for scalar or array ``x``.
 
     Raises :class:`DomainError` if any coordinate reaches the walls,
-    where the potential is singular, or is NaN.
+    where the potential is singular, or is NaN, and if any value
+    overflows.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) < params.half_width):
         raise DomainError(
             f"coordinate outside the open interval (-L, L) with L={params.half_width!r}"
         )
-    values = params.well_depth * np.tan(params.alpha * arr) ** 2
+    with np.errstate(over="ignore"):
+        values = params.well_depth * np.tan(params.alpha * arr) ** 2
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"V(x) leaves the floating-point range with V0={params.well_depth!r}")
     if np.isscalar(x) or arr.ndim == 0:
         return float(values)
     return values

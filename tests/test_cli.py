@@ -241,6 +241,10 @@ class TestFloatRangeGuard:
             ["validate", "--half-width", "1e-200"],
             ["validate", "--hbar", "1e200", "--half-width", "1"],
             ["validate", "--mass", "1e308", "--half-width", "1"],
+            # hbar^2 alpha^2 is subnormal, which put T off by 3.5 %
+            ["spectrum", "--mass", "5.396606398857714e-256", "--well-depth", "0",
+             "--half-width", "3.5950262769302127e+161", "--hbar", "2.830508829971479e+119",
+             "--n-max", "1"],
         ],
     )
     def test_overflowing_scales_are_domain_errors(self, capsys, argv):

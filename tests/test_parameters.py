@@ -211,6 +211,23 @@ class TestValidation:
                 evaluate(params)
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(hbar=1e-160),  # hbar^2 is subnormal
+            dict(half_width=1e155),  # alpha^2 is subnormal
+            dict(hbar=1e-100, half_width=1e55),  # hbar^2 alpha^2 is subnormal
+            dict(mass=1e307, half_width=10.0),  # T is subnormal
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_scales_rejected(self, kwargs):
+        # a subnormal keeps only a few bits: hbar = 1e-160 put T off by 1.5e-5
+        params = PTParameters(**{"mass": 1.0, "well_depth": 0.0, "half_width": 1.0, **kwargs})
+        with pytest.raises(DomainError, match="normal floating-point range"):
+            derive_scales(params)
+
+
 class TestPotential:
     def test_vanishes_at_origin(self, unit_well):
         assert potential(unit_well, 0.0) == 0.0
@@ -234,6 +251,15 @@ class TestPotential:
             potential(unit_well, math.nan)
         with pytest.raises(DomainError):
             potential(unit_well, np.array([0.0, math.nan]))
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_domain_error(self):
+        deep = PTParameters(1.0, 1e308, 1.0)  # V(0.9) = 1e308 tan^2(0.45 pi) ~ 4e309
+        with pytest.raises(DomainError, match="floating-point range"):
+            potential(deep, 0.9)
+        with pytest.raises(DomainError, match="floating-point range"):
+            potential(deep, np.array([0.0, 0.9]))
 
 
 class TestSingleLevelCheck:
