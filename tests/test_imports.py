@@ -1,9 +1,9 @@
 """Which scipy modules the CLI subcommands load.
 
-scipy is imported inside the oracle and Bohr-Sommerfeld functions that
-call it, so the closed-form subcommands never pay for its import.  Each
-probe runs in a fresh interpreter, because this process has loaded scipy
-already.
+scipy is imported only inside the oracle functions that call its
+eigensolver, so the closed-form subcommands and the Bohr-Sommerfeld
+comparison never pay for its import.  Each probe runs in a fresh
+interpreter, because this process has loaded scipy already.
 """
 
 import json
@@ -65,3 +65,9 @@ def test_validate_loads_only_the_eigensolver():
     assert code == 0
     assert "scipy.linalg" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))]
+
+
+def test_semiclassical_compare_loads_no_scipy():
+    # the action quadrature and the Newton root find are numpy only
+    calls = [["compare", *UNIT, "--method", "semiclassical", "--n-max", "10"]]
+    assert probe(calls) == [(0, [])]

@@ -18,8 +18,10 @@ from ptoscillator import (
     ho_limit_expansion,
     levels,
     limit_equation_of_state,
+    action,
     perturbed_energy,
     qc_energy_closed,
+    qc_energy_numeric,
 )
 
 mp.mp.dps = 50
@@ -254,6 +256,9 @@ class TestFullFloatRange:
     )
     # T ~ 1.2e300: T n^2 overflows, a corner the random search seldom reaches
     @example(mass=1.0, depth=0.0, half_width=1e-150, hbar=1.0, n=10**6)
+    # an electron in a 1 nm well: energies far below an absolute root tolerance
+    @example(mass=9.1093837015e-31, depth=1.602176634e-20, half_width=1e-9,
+             hbar=1.054571817e-34, n=1)
     @settings(max_examples=500, deadline=None)
     def test_approximate_energies_are_finite_or_typed_error(
         self, mass, depth, half_width, hbar, n
@@ -277,3 +282,19 @@ class TestFullFloatRange:
                 continue
             assert isinstance(value, float)
             assert math.isfinite(value)
+        # the Bohr-Sommerfeld quadrature at the closed-form level, and the
+        # Newton root, which must agree with the closed form when both return
+        try:
+            closed = qc_energy_closed(params, n)
+        except PTOscillatorError:
+            return
+        try:
+            assert math.isfinite(action(params, closed).action)
+        except PTOscillatorError:
+            pass
+        try:
+            numeric = qc_energy_numeric(params, n)
+        except PTOscillatorError:
+            return
+        assert isinstance(numeric, float)
+        assert abs(numeric - closed) <= 1e-8 * closed
