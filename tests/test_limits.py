@@ -13,12 +13,12 @@ from ptoscillator import (
     InvalidParameterError,
     PTOscillatorError,
     PTParameters,
+    action,
     derive_scales,
     fp_limit_expansion,
     ho_limit_expansion,
     levels,
     limit_equation_of_state,
-    action,
     perturbed_energy,
     qc_energy_closed,
     qc_energy_numeric,
