@@ -164,46 +164,38 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
     return (values, even_diagonal, off_diagonal), (values, diagonal, off_diagonal)
 
 
-def _fd_lowest_eigenvalues(params: PTParameters, n_points: int, count: int) -> np.ndarray:
-    """Lowest ``count`` eigenvalues on one grid, solved per parity block.
+def _fd_levels(
+    params: PTParameters, n_points: int, first: int, last: int, vectors: bool = False
+) -> tuple:
+    """Energies of levels ``first``..``last`` on one grid, solved per
+    parity block, and with ``vectors`` their exact -dE_h/dL, else None.
 
-    The levels alternate even, odd, even, ..., so the even block supplies
-    levels 1, 3, 5, ... and the odd block levels 2, 4, 6, ...
+    Level l is eigenvalue (l - 1) // 2 of block (l - 1) % 2, and a block
+    with no wanted level is skipped.  A unit block eigenvector u gives the
+    full-grid sum_i V_i psi_i^2 as ``values @ u**2``.
     """
     from scipy.linalg import eigh_tridiagonal
 
-    eigenvalues = np.empty(count)
-    for parity, (_, diagonal, off_diagonal) in enumerate(_parity_blocks(params, n_points, count)):
-        wanted = (count + 1 - parity) // 2
-        if wanted == 0:
+    energies = np.empty(last - first + 1)
+    pressures = np.empty_like(energies) if vectors else None
+    blocks = _parity_blocks(params, n_points, last)
+    for parity, (values, diagonal, off_diagonal) in enumerate(blocks):
+        low, high = (first - parity) // 2, (last - 1 - parity) // 2
+        if low > high:
             continue
+        wanted = slice(2 * low + parity + 1 - first, None, 2)
         try:
-            eigenvalues[parity::2] = eigh_tridiagonal(
-                diagonal, off_diagonal, select="i", select_range=(0, wanted - 1), eigvals_only=True
+            solution = eigh_tridiagonal(
+                diagonal, off_diagonal, select="i", select_range=(low, high),
+                eigvals_only=not vectors,
             )
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"tridiagonal eigenvalue iteration failed: {exc}") from exc
-    return eigenvalues
-
-
-def _fd_pressure(params: PTParameters, n_points: int, n: int) -> float:
-    """Exact -dE_h/dL of level ``n`` on one grid, from its eigenvector.
-
-    A unit eigenvector u of the level's parity block gives the full-grid
-    sum_i V_i psi_i^2 as ``values @ u**2`` over the block's nodes.
-    """
-    from scipy.linalg import eigh_tridiagonal
-
-    values, diagonal, off_diagonal = _parity_blocks(params, n_points, n)[(n - 1) % 2]
-    index = (n - 1) // 2
-    try:
-        energy, vector = eigh_tridiagonal(
-            diagonal, off_diagonal, select="i", select_range=(index, index)
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigenvector iteration failed: {exc}") from exc
-    kinetic_energy = energy[0] - values @ vector[:, 0] ** 2
-    return 2.0 * kinetic_energy / params.half_width
+            raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+        if vectors:
+            solution, vector = solution
+            pressures[wanted] = 2.0 * (solution - values @ vector**2) / params.half_width
+        energies[wanted] = solution
+    return energies, pressures
 
 
 def _wall_exponents(params: PTParameters) -> tuple:
@@ -245,9 +237,7 @@ def _richardson(columns: list, exponents: tuple) -> tuple:
 
 def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum:
     """Lowest eigenvalues of the discretized Hamiltonian, extrapolated."""
-    columns = [
-        _fd_lowest_eigenvalues(params, size, grid.level_count) for size in grid.grid_sequence()
-    ]
+    columns = [_fd_levels(params, size, 1, grid.level_count)[0] for size in grid.grid_sequence()]
     eigenvalues, estimates = _richardson(columns, _wall_exponents(params))
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
@@ -269,7 +259,10 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
     """
     check_single_level(n)
     if use_eigenvalues:
-        columns = [_fd_pressure(params, size, n) for size in _PRESSURE_GRID.grid_sequence()]
+        columns = [
+            _fd_levels(params, size, n, n, vectors=True)[1][0]
+            for size in _PRESSURE_GRID.grid_sequence()
+        ]
         return float(_richardson(columns, _wall_exponents(params))[0])
 
     length = params.half_width
@@ -312,7 +305,7 @@ def convergence_study(
     spacings = []
     errors = []
     for size in sorted(grid_sizes):
-        numeric = _fd_lowest_eigenvalues(params, size, level_count)
+        numeric = _fd_levels(params, size, 1, level_count)[0]
         spacings.append(2.0 * params.half_width / (size + 1))
         errors.append(np.abs(numeric - closed))
     error_matrix = np.array(errors)

@@ -152,7 +152,7 @@ class TestNumericalPressure:
                 return -(upper.eigenvalues[n - 1] - lower.eigenvalues[n - 1]) / (2 * length * delta)
 
             differenced = (4.0 * quotient(5e-3) - quotient(1e-2)) / 3.0
-            numeric = oracle._fd_pressure(params, 1000, n)
+            numeric = oracle._fd_levels(params, 1000, n, n, vectors=True)[1][0]
             assert numeric == pytest.approx(differenced, rel=2e-7)
 
     @pytest.mark.parametrize("well", ["unit_well", "wide_well", "shallow_well", "box"])
@@ -228,7 +228,7 @@ class TestParityFold:
         )
         magnitude = np.abs(np.concatenate(([0.0], off_diagonal, [0.0])))
         norm = np.max(np.abs(diagonal) + magnitude[:-1] + magnitude[1:])
-        folded = oracle._fd_lowest_eigenvalues(params, n_points, count)
+        folded = oracle._fd_levels(params, n_points, 1, count)[0]
         assert folded.shape == (count,)
         assert np.max(np.abs(folded - full)) <= 2.0 * np.finfo(float).eps * norm
 
@@ -244,8 +244,33 @@ class TestParityFold:
                 diagonal, off_diagonal, select="i", select_range=(n - 1, n - 1)
             )
             full = 2.0 * (energy[0] - values @ vector[:, 0] ** 2) / params.half_width
-            folded = oracle._fd_pressure(params, n_points, n)
+            folded = oracle._fd_levels(params, n_points, n, n, vectors=True)[1][0]
             assert folded == pytest.approx(full, rel=1e-6)
+
+    # Windows that do not start at level 1, solved with and without
+    # eigenvectors, against the full matrix: energies within the bound of
+    # test_eigenvalues_match_full_matrix, pressures from the full eigenvectors.
+    @pytest.mark.parametrize("well", WELLS)
+    @pytest.mark.parametrize("n_points", [64, 65])
+    @pytest.mark.parametrize("first, last", [(1, 1), (2, 2), (3, 7), (4, 8)])
+    def test_level_windows_match_full_matrix(self, request, well, n_points, first, last):
+        from scipy.linalg import eigh_tridiagonal
+
+        params = request.getfixturevalue(well)
+        values, diagonal, off_diagonal = full_matrix(params, n_points)
+        energy, vector = eigh_tridiagonal(
+            diagonal, off_diagonal, select="i", select_range=(first - 1, last - 1)
+        )
+        full = 2.0 * (energy - values @ vector**2) / params.half_width
+        magnitude = np.abs(np.concatenate(([0.0], off_diagonal, [0.0])))
+        norm = np.max(np.abs(diagonal) + magnitude[:-1] + magnitude[1:])
+        energies, pressures = oracle._fd_levels(params, n_points, first, last, vectors=True)
+        alone, none = oracle._fd_levels(params, n_points, first, last)
+        assert none is None
+        assert np.array_equal(alone, energies)
+        assert energies.shape == pressures.shape == (last - first + 1,)
+        assert np.max(np.abs(energies - energy)) <= 2.0 * np.finfo(float).eps * norm
+        np.testing.assert_allclose(pressures, full, rtol=1e-6)
 
 
 class TestConvergenceStudy:
@@ -311,11 +336,11 @@ class TestEigensolverFailure:
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
 
     def test_eigensolve_is_convergence_error(self, unit_well):
-        with pytest.raises(ConvergenceError, match="eigenvalue iteration failed"):
+        with pytest.raises(ConvergenceError, match="eigensolver failed"):
             solve_eigenvalues(unit_well, GridSpec(64))
 
     def test_pressure_is_convergence_error(self, unit_well):
-        with pytest.raises(ConvergenceError, match="eigenvector iteration failed"):
+        with pytest.raises(ConvergenceError, match="eigensolver failed"):
             numerical_pressure(unit_well, 1, use_eigenvalues=True)
 
 
@@ -324,15 +349,19 @@ class TestNonFiniteResult:
     # checks, where every comparison with NaN is False, whether one, two
     # or three grids are extrapolated; the pressure extrapolates two grids
     # through the same routine.
-    def test_eigensolve_is_convergence_error(self, monkeypatch, unit_well):
-        monkeypatch.setattr(
-            oracle, "_fd_lowest_eigenvalues", lambda params, n_points, count: np.full(count, np.nan)
-        )
+    @pytest.fixture(autouse=True)
+    def nan_solver(self, monkeypatch):
+        def solve(params, n_points, first, last, vectors=False):
+            nan = np.full(last - first + 1, np.nan)
+            return nan, (nan.copy() if vectors else None)
+
+        monkeypatch.setattr(oracle, "_fd_levels", solve)
+
+    def test_eigensolve_is_convergence_error(self, unit_well):
         for richardson_levels in (1, 2, 3):
             with pytest.raises(ConvergenceError, match="not finite"):
                 solve_eigenvalues(unit_well, GridSpec(64, richardson_levels, level_count=3))
 
-    def test_pressure_is_convergence_error(self, monkeypatch, unit_well):
-        monkeypatch.setattr(oracle, "_fd_pressure", lambda params, n_points, n: math.nan)
+    def test_pressure_is_convergence_error(self, unit_well):
         with pytest.raises(ConvergenceError, match="not finite"):
             numerical_pressure(unit_well, 1, use_eigenvalues=True)
