@@ -109,7 +109,8 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
         d = 2.0 * a * np.sin(_NODES) ** 2
         sin_bd = np.sin(b + d)
         ratio = np.sin(d) / sin_bd * np.sin(np.minimum(2.0 * a - d, 2.0 * b + d)) / sin_bd
-        p = np.sqrt(2.0 * params.mass * (energy + params.well_depth) * ratio)
+        # a product of roots, so p is finite wherever the action is
+        p = math.sqrt(2.0 * params.mass) * math.sqrt(energy + params.well_depth) * np.sqrt(ratio)
         total = float(4.0 * x0 * (_WEIGHTS @ p))
         total_err = abs(total - float(8.0 * x0 * (_WEIGHTS[::2] @ p[::2])))
         slowness = np.divide(params.mass, p, out=np.zeros_like(p), where=p > 0.0)

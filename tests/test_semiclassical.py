@@ -125,10 +125,19 @@ class TestAction:
             with pytest.raises(InvalidParameterError):
                 action(unit_well, energy)
 
-    def test_overflowing_action_is_domain_error(self, unit_well):
-        # 2 m (E - V) overflows inside the orbit
+    def test_large_energy_action_is_closed_form(self, unit_well):
+        # 2 m (E + V0) overflows, but the action, about 8.9e154, does not
+        m, depth, energy = unit_well.mass, unit_well.well_depth, 1e308
+        closed = (2.0 * math.pi * math.sqrt(2.0 * m) / unit_well.alpha) * (
+            math.sqrt(energy + depth) - math.sqrt(depth)
+        )
+        assert action(unit_well, energy).action == pytest.approx(closed, rel=1e-13)
+
+    def test_overflowing_action_is_domain_error(self):
+        # the action itself, about 2 pi sqrt(2 m E) / alpha, overflows
+        heavy = PTParameters(1e308, 0.375, math.pi / 2)
         with pytest.raises(DomainError, match="floating-point range"):
-            action(unit_well, 1e308)
+            action(heavy, 1e308)
 
 
 class TestClosedFormLevels:
