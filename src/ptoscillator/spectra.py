@@ -86,10 +86,7 @@ def levels(params: PTParameters, n) -> Levels:
         pressure_fp = 2.0 * inv_l * energy_fp
         pressure_ho = 2.0 * inv_l * energy_ho - inv_l * s.kinetic_scale * s.psi_factor * (k - 0.5)
         pressure_total = pressure_fp + pressure_ho
-        if s.lambda_exact == 0.0:
-            eta = np.full(n.shape, np.inf)
-        else:
-            eta = k * k / (s.lambda_exact * (k - 0.5))
+        eta = k * k / (s.lambda_exact * (k - 0.5))  # inf at the zero-depth sentinel
     finite = np.isfinite(energy_total) & np.isfinite(pressure_total)
     if not finite.all():
         first = np.argmin(finite)
