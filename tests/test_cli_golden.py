@@ -2,7 +2,8 @@
 
 Each case's stdout is stored in ``tests/golden/<case>.<format>``.  The
 matrix leaves out ``validate`` and ``compare --method semiclassical``,
-whose last printed digits depend on the LAPACK and QUADPACK builds.
+whose last printed digits depend on the LAPACK build and on numpy's
+transcendental functions.
 
 After a deliberate change of output, rewrite the files with
 
