@@ -199,6 +199,13 @@ def fold(values, diagonal, off_diagonal):
     return (values[:half], even_diagonal, inner), (values[:half], odd_diagonal, inner)
 
 
+def bisection_floor(diagonal, off_diagonal) -> float:
+    """Twice the default absolute tolerance eps * ||T||_1 of LAPACK's
+    bisection, which a block solve and a full-matrix solve each meet."""
+    magnitude = np.abs(np.concatenate(([0.0], off_diagonal, [0.0])))
+    return 2.0 * np.finfo(float).eps * np.max(np.abs(diagonal) + magnitude[:-1] + magnitude[1:])
+
+
 class TestParityFold:
     @pytest.mark.parametrize("well", WELLS)
     @pytest.mark.parametrize("n_points", [64, 65, 4000, 4001])
@@ -211,9 +218,7 @@ class TestParityFold:
             for part, want in zip(block, expected):
                 assert np.array_equal(part, want)
 
-    # The even/odd blocks against one solve of the full matrix.  The bound
-    # is twice the default absolute tolerance eps * ||T||_1 of LAPACK's
-    # bisection, which each side meets on its own.
+    # The even/odd blocks against one solve of the full matrix.
     @pytest.mark.parametrize("well", WELLS)
     @pytest.mark.parametrize("n_points", [64, 65])
     @pytest.mark.parametrize("count", [1, 5, 8, "all"])
@@ -226,11 +231,9 @@ class TestParityFold:
         full = eigh_tridiagonal(
             diagonal, off_diagonal, select="i", select_range=(0, count - 1), eigvals_only=True
         )
-        magnitude = np.abs(np.concatenate(([0.0], off_diagonal, [0.0])))
-        norm = np.max(np.abs(diagonal) + magnitude[:-1] + magnitude[1:])
         folded = oracle._fd_levels(params, n_points, 1, count)[0]
         assert folded.shape == (count,)
-        assert np.max(np.abs(folded - full)) <= 2.0 * np.finfo(float).eps * norm
+        assert np.max(np.abs(folded - full)) <= bisection_floor(diagonal, off_diagonal)
 
     @pytest.mark.parametrize("well", WELLS)
     @pytest.mark.parametrize("n_points", [64, 65])
@@ -248,8 +251,8 @@ class TestParityFold:
             assert folded == pytest.approx(full, rel=1e-6)
 
     # Windows that do not start at level 1, solved with and without
-    # eigenvectors, against the full matrix: energies within the bound of
-    # test_eigenvalues_match_full_matrix, pressures from the full eigenvectors.
+    # eigenvectors, against the full matrix: energies within the bisection
+    # floor, pressures from the full eigenvectors.
     @pytest.mark.parametrize("well", WELLS)
     @pytest.mark.parametrize("n_points", [64, 65])
     @pytest.mark.parametrize("first, last", [(1, 1), (2, 2), (3, 7), (4, 8)])
@@ -262,14 +265,12 @@ class TestParityFold:
             diagonal, off_diagonal, select="i", select_range=(first - 1, last - 1)
         )
         full = 2.0 * (energy - values @ vector**2) / params.half_width
-        magnitude = np.abs(np.concatenate(([0.0], off_diagonal, [0.0])))
-        norm = np.max(np.abs(diagonal) + magnitude[:-1] + magnitude[1:])
         energies, pressures = oracle._fd_levels(params, n_points, first, last, vectors=True)
         alone, none = oracle._fd_levels(params, n_points, first, last)
         assert none is None
         assert np.array_equal(alone, energies)
         assert energies.shape == pressures.shape == (last - first + 1,)
-        assert np.max(np.abs(energies - energy)) <= 2.0 * np.finfo(float).eps * norm
+        assert np.max(np.abs(energies - energy)) <= bisection_floor(diagonal, off_diagonal)
         np.testing.assert_allclose(pressures, full, rtol=1e-6)
 
 
