@@ -26,6 +26,29 @@ alternate in parity, starting with even (Cantoni & Butler, Linear
 Algebra Appl. 13, 275 (1976)), so level n is the ((n - 1) // 2)-th
 eigenvalue of the even block for odd n and of the odd block for even n.
 
+The first grid is solved by index, bisecting from the Gershgorin
+interval of each block (LAPACK ``stebz`` through ``eigh_tridiagonal``,
+absolute tolerance eps ||T||).  Each later grid already has every level
+placed to about 1e-5 relative by the grids before it, so it bisects each
+level only inside a bracket around that prediction (Barth, Martin &
+Wilkinson, Numer. Math. 9, 386 (1967)): 1e-3 relative around the coarser
+energy on the second grid, and on the third around c2 + (c2 - c1) / 2^p,
+p the leading exponent below, with half-width 4 |c2 - c1| / 2^p +
+1e-12 c2.  ``stebz`` in value mode on (-||T||_inf, x] with an absolute
+tolerance above that width stops after its endpoint Sturm counts and
+returns count(x), the number of eigenvalues at or below x.  A block's
+brackets are certified when they are disjoint, ascending and above
+-||T||_inf, count at the first lower end equals the index of its first
+wanted eigenvalue, count at the last upper end equals one past its last,
+and each bracket holds exactly one eigenvalue; bracket j then holds the
+j-th wanted eigenvalue.
+Inside a certified bracket the bisection stops at eps ||T||_inf / 16 of
+the block, below LAPACK's default, and eigenvectors come from ``stein``.
+A block whose brackets fail any of these checks is solved by index, as
+on the first grid.  ``solve_eigenvalues`` and the Hellmann-Feynman
+pressure below bracket their later grids; ``convergence_study`` solves
+every grid by index.
+
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
 leading error terms: h^2 and h^4, or, for 0 < V0 / T < 3/4, the wall term
 h^q, q = sqrt(1 + 4 V0 / T), and h^2 (Sidi, Practical Extrapolation
@@ -164,15 +187,68 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
     return (values, even_diagonal, off_diagonal), (values, diagonal, off_diagonal)
 
 
+def _bracketed(diagonal, off_diagonal, low: int, lower, upper, vectors: bool):
+    """Eigenvalues low, low + 1, ... of one block, one in each bracket
+    (lower[j], upper[j]], and with ``vectors`` their unit vectors, found by
+    bisection inside the brackets; None when the Sturm counts do not
+    certify that bracket j holds eigenvalue low + j."""
+    from scipy.linalg import get_lapack_funcs
+
+    stebz, stein = get_lapack_funcs(("stebz", "stein"), (diagonal, off_diagonal))
+    magnitude = np.abs(off_diagonal)
+    rows = np.abs(diagonal)
+    rows[:-1] += magnitude
+    rows[1:] += magnitude
+    norm = rows.max()  # ||T||_inf, so -norm lies below every eigenvalue
+    if not (-norm < lower[0] and np.all(lower < upper) and np.all(upper[:-1] < lower[1:])):
+        return None
+
+    def bisect(start, stop, tolerance):
+        found, values, block, splits, info = stebz(
+            diagonal, off_diagonal, 1, start, stop, 0, 0, tolerance, "B"
+        )
+        if info:
+            raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
+        return found, values, block, splits
+
+    def count(x):
+        # an abstol above the interval's width stops after the endpoint counts
+        return bisect(-norm, x, 2.0 * (x + norm))[0]
+
+    if count(lower[0]) != low or count(upper[-1]) != low + lower.size:
+        return None
+    tolerance = np.finfo(float).eps * norm / 16.0
+    energies = np.empty(lower.size)
+    vector = np.empty((diagonal.size, lower.size)) if vectors else None
+    for j, bracket in enumerate(zip(lower, upper)):
+        found, values, block, splits = bisect(*bracket, tolerance)
+        if found != 1:
+            return None
+        energies[j] = values[0]
+        if vectors:
+            column, info = stein(diagonal, off_diagonal, values[:1], block, splits)
+            if info:
+                raise ConvergenceError(f"tridiagonal eigensolver failed: stein info {info}")
+            vector[:, j] = column[:, 0]
+    return (energies, vector) if vectors else energies
+
+
 def _fd_levels(
-    params: PTParameters, n_points: int, first: int, last: int, vectors: bool = False
+    params: PTParameters,
+    n_points: int,
+    first: int,
+    last: int,
+    vectors: bool = False,
+    brackets: tuple | None = None,
 ) -> tuple:
     """Energies of levels ``first``..``last`` on one grid, solved per
     parity block, and with ``vectors`` their exact -dE_h/dL, else None.
 
     Level l is eigenvalue (l - 1) // 2 of block (l - 1) % 2, and a block
     with no wanted level is skipped.  A unit block eigenvector u gives the
-    full-grid sum_i V_i psi_i^2 as ``values @ u**2``.
+    full-grid sum_i V_i psi_i^2 as ``values @ u**2``.  ``brackets``, a pair
+    of arrays (lower, upper) over the wanted levels, lets each block
+    bisect inside them; a block they do not certify is solved by index.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -184,18 +260,39 @@ def _fd_levels(
         if low > high:
             continue
         wanted = slice(2 * low + parity + 1 - first, None, 2)
-        try:
-            solution = eigh_tridiagonal(
-                diagonal, off_diagonal, select="i", select_range=(low, high),
-                eigvals_only=not vectors,
+        solution = None
+        if brackets is not None:
+            solution = _bracketed(
+                diagonal, off_diagonal, low, brackets[0][wanted], brackets[1][wanted], vectors
             )
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+        if solution is None:
+            try:
+                solution = eigh_tridiagonal(
+                    diagonal, off_diagonal, select="i", select_range=(low, high),
+                    eigvals_only=not vectors,
+                )
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
         if vectors:
             solution, vector = solution
             pressures[wanted] = 2.0 * (solution - values @ vector**2) / params.half_width
         energies[wanted] = solution
     return energies, pressures
+
+
+def _brackets(energies: list, exponent: float) -> tuple | None:
+    """Brackets (lower, upper) of the levels on the next grid, from their
+    energies on the grids before it, or None for the first grid: 1e-3
+    relative around the one coarser energy, else around the step to the
+    next grid predicted from the last two, h^``exponent`` with h halving."""
+    if not energies:
+        return None
+    if len(energies) == 1:
+        centre, half = energies[0], 1e-3 * np.abs(energies[0])
+    else:
+        step = (energies[-1] - energies[-2]) / 2.0**exponent
+        centre, half = energies[-1] + step, 4.0 * np.abs(step) + 1e-12 * np.abs(energies[-1])
+    return centre - half, centre + half
 
 
 def _wall_exponents(params: PTParameters) -> tuple:
@@ -237,8 +334,12 @@ def _richardson(columns: list, exponents: tuple) -> tuple:
 
 def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum:
     """Lowest eigenvalues of the discretized Hamiltonian, extrapolated."""
-    columns = [_fd_levels(params, size, 1, grid.level_count)[0] for size in grid.grid_sequence()]
-    eigenvalues, estimates = _richardson(columns, _wall_exponents(params))
+    exponents = _wall_exponents(params)
+    columns = []
+    for size in grid.grid_sequence():
+        brackets = _brackets(columns, exponents[0])
+        columns.append(_fd_levels(params, size, 1, grid.level_count, brackets=brackets)[0])
+    eigenvalues, estimates = _richardson(columns, exponents)
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
             "extrapolated eigenvalues are not strictly increasing and positive; "
@@ -259,11 +360,14 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
     """
     check_single_level(n)
     if use_eigenvalues:
-        columns = [
-            _fd_levels(params, size, n, n, vectors=True)[1][0]
-            for size in _PRESSURE_GRID.grid_sequence()
-        ]
-        return float(_richardson(columns, _wall_exponents(params))[0])
+        exponents = _wall_exponents(params)
+        energies, columns = [], []
+        for size in _PRESSURE_GRID.grid_sequence():
+            brackets = _brackets(energies, exponents[0])
+            energy, pressure = _fd_levels(params, size, n, n, vectors=True, brackets=brackets)
+            energies.append(energy)
+            columns.append(pressure[0])
+        return float(_richardson(columns, exponents)[0])
 
     length = params.half_width
 

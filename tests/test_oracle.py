@@ -274,6 +274,115 @@ class TestParityFold:
         np.testing.assert_allclose(pressures, full, rtol=1e-6)
 
 
+# The finer grid bisects each level only inside a bracket predicted from
+# the coarser grid, once two Sturm counts per block certify the brackets.
+WINDOWS = [(1, 10), (3, 7)] + [(n, n) for n in range(1, 6)]
+
+
+def coarse_brackets(params: PTParameters, n_points: int, first: int, last: int):
+    """Brackets of levels ``first``..``last`` on the grid after one of
+    ``n_points`` nodes, predicted from that grid's energies."""
+    centres = oracle._fd_levels(params, n_points, first, last)[0]
+    return oracle._brackets([centres], oracle._wall_exponents(params)[0])
+
+
+class TestBracketedSolve:
+    @pytest.mark.parametrize("well", WELLS)
+    @pytest.mark.parametrize("coarse, fine", [(4000, 8001), (64, 129)])
+    @pytest.mark.parametrize("first, last", WINDOWS)
+    def test_agrees_with_index_solve(self, request, well, coarse, fine, first, last):
+        params = request.getfixturevalue(well)
+        brackets = coarse_brackets(params, coarse, first, last)
+        energies, pressures = oracle._fd_levels(
+            params, fine, first, last, vectors=True, brackets=brackets
+        )
+        alone = oracle._fd_levels(params, fine, first, last, brackets=brackets)[0]
+        expected, expected_pressures = oracle._fd_levels(params, fine, first, last, vectors=True)
+        floor = max(bisection_floor(*block[1:]) for block in oracle._parity_blocks(params, fine, 1))
+        assert np.array_equal(alone, energies)
+        assert np.max(np.abs(energies - expected)) <= floor
+        np.testing.assert_allclose(pressures, expected_pressures, rtol=1e-6)
+
+    # on the 4000 -> 8001 step every block certifies, so no index solve runs
+    @pytest.mark.parametrize("well", WELLS)
+    def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise AssertionError("index solve on a certified block")
+
+        params = request.getfixturevalue(well)
+        brackets = coarse_brackets(params, 4000, 1, 10)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        oracle._fd_levels(params, 8001, 1, 10, vectors=True, brackets=brackets)
+
+    # Centres on the next level of the block, scaled by 1.3, or NaN in each
+    # block fail certification, and the index solve's bits come back.
+    @pytest.mark.parametrize("well", WELLS)
+    @pytest.mark.parametrize("first, last", WINDOWS)
+    @pytest.mark.parametrize("wrong", ["shifted", "scaled", "nan"])
+    def test_wrong_centres_fall_back_to_index_solve(self, request, well, first, last, wrong):
+        params = request.getfixturevalue(well)
+        coarse = oracle._fd_levels(params, 4000, first, last + 2)[0]
+        centres = coarse[2:] if wrong == "shifted" else coarse[:-2].copy()
+        if wrong == "scaled":
+            centres *= 1.3
+        elif wrong == "nan":
+            centres[:2] = np.nan
+        brackets = oracle._brackets([centres], oracle._wall_exponents(params)[0])
+        energies, pressures = oracle._fd_levels(
+            params, 8001, first, last, vectors=True, brackets=brackets
+        )
+        expected, expected_pressures = oracle._fd_levels(params, 8001, first, last, vectors=True)
+        assert np.array_equal(energies, expected)
+        assert np.array_equal(pressures, expected_pressures)
+
+    # The two end counts pass when one bracket holds both even levels 1
+    # and 3 and the next holds none; the per-bracket count catches it.
+    @pytest.mark.parametrize("well", WELLS)
+    def test_bracket_holding_two_levels_falls_back(self, request, well):
+        params = request.getfixturevalue(well)
+        expected, expected_pressures = oracle._fd_levels(params, 8001, 1, 3, vectors=True)
+        gap = expected[2] - expected[0]
+        lower = expected + np.array([-0.1, -1e-3, 0.1]) * gap
+        upper = expected + np.array([1.05, 1e-3, 0.2]) * gap
+        energies, pressures = oracle._fd_levels(
+            params, 8001, 1, 3, vectors=True, brackets=(lower, upper)
+        )
+        assert np.array_equal(energies[::2], expected[::2])
+        assert np.array_equal(pressures[::2], expected_pressures[::2])
+
+
+def fail_lapack_routine(monkeypatch, name: str) -> None:
+    """Make the LAPACK routine ``name`` of the bracketed solve report
+    info = 1; scipy.linalg is imported when the solver runs, so patching
+    the module attribute reaches the call."""
+    import scipy.linalg
+
+    real = scipy.linalg.get_lapack_funcs
+
+    def lapack_funcs(names, arrays):
+        routines = dict(zip(names, real(names, arrays)))
+        routine = routines[name]
+        routines[name] = lambda *args: (*routine(*args)[:-1], 1)
+        return tuple(routines[each] for each in names)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lapack_funcs)
+
+
+class TestBracketedSolverFailure:
+    @pytest.mark.parametrize("routine", ["stebz", "stein"])
+    def test_pressure_is_convergence_error(self, unit_well, monkeypatch, routine):
+        fail_lapack_routine(monkeypatch, routine)
+        with pytest.raises(ConvergenceError, match=f"eigensolver failed: {routine}"):
+            numerical_pressure(unit_well, 1, use_eigenvalues=True)
+
+    def test_eigensolve_is_convergence_error(self, unit_well, monkeypatch):
+        fail_lapack_routine(monkeypatch, "stebz")
+        with pytest.raises(ConvergenceError, match="eigensolver failed: stebz"):
+            solve_eigenvalues(unit_well, GridSpec(4000, 2, 3))
+
+
 class TestConvergenceStudy:
     def test_unit_well_is_second_order(self, unit_well):
         report = convergence_study(unit_well, [500, 1000, 2000], level_count=3)
@@ -352,7 +461,7 @@ class TestNonFiniteResult:
     # through the same routine.
     @pytest.fixture(autouse=True)
     def nan_solver(self, monkeypatch):
-        def solve(params, n_points, first, last, vectors=False):
+        def solve(params, n_points, first, last, vectors=False, brackets=None):
             nan = np.full(last - first + 1, np.nan)
             return nan, (nan.copy() if vectors else None)
 
