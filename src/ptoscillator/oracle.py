@@ -109,6 +109,10 @@ class GridSpec:
     level_count: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("interior_points", "richardson_levels", "level_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.interior_points < _MIN_GRID_POINTS:
             raise InvalidParameterError(
                 f"interior_points must be >= {_MIN_GRID_POINTS}, got {self.interior_points!r}"

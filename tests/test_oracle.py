@@ -42,6 +42,24 @@ class TestGridSpec:
         with pytest.raises(InvalidParameterError):
             GridSpec(**kwargs)
 
+    # a fractional size used to solve a shifted grid, a float count or
+    # Richardson depth to end in a TypeError, and True to mean one grid
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(interior_points=4000.5, richardson_levels=2, level_count=3),
+            dict(interior_points=4000, richardson_levels=2.0, level_count=3),
+            dict(interior_points=4000, richardson_levels=2, level_count=2.5),
+            dict(interior_points=4000, richardson_levels=True, level_count=3),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            GridSpec(**kwargs)
+
+    def test_numpy_integer_accepted(self):
+        assert GridSpec(np.int64(4000)).grid_sequence() == (4000, 8001)
+
     def test_finest_grid_beyond_resource_limit(self):
         # 65536 -> 131073 -> 262147, three points past MAX_GRID_POINTS.
         with pytest.raises(ResourceLimitError):
@@ -418,6 +436,10 @@ class TestConvergenceStudy:
     def test_requires_a_level(self, unit_well):
         with pytest.raises(InvalidParameterError):
             convergence_study(unit_well, [500, 1000], level_count=0)
+
+    def test_non_integer_size_rejected(self, unit_well):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            convergence_study(unit_well, [500.5, 1000], level_count=2)
 
 
 class TestNonFiniteHamiltonian:
