@@ -2,12 +2,12 @@
 
 A second-order finite-difference discretization of the Hamiltonian on a
 uniform grid over (-L, L) gives a symmetric tridiagonal matrix whose
-lowest eigenvalues are computed by bisection on Sturm sequences (LAPACK,
-via scipy).  The hard walls are imposed by excluding the endpoints, so
-every sampled potential value is finite and the divergence of tan^2
-near the walls enforces decay on its own; no capping is applied.
-scipy is imported on the first solver call, so programs that use only
-the closed forms never load it.
+lowest eigenvalues are computed by LAPACK (via scipy), by bisection on
+Sturm sequences or by certified inverse iteration.  The hard walls are
+imposed by excluding the endpoints, so every sampled potential value is
+finite and the divergence of tan^2 near the walls enforces decay on its
+own; no capping is applied.  scipy is imported on the first solver call,
+so programs that use only the closed forms never load it.
 
 The potential is even and the grid is mirror-symmetric about x = 0, so
 the matrix splits exactly into an even and an odd block of about half
@@ -29,25 +29,39 @@ eigenvalue of the even block for odd n and of the odd block for even n.
 The first grid is solved by index, bisecting from the Gershgorin
 interval of each block (LAPACK ``stebz`` through ``eigh_tridiagonal``,
 absolute tolerance eps ||T||).  Each later grid already has every level
-placed to about 1e-5 relative by the grids before it, so it bisects each
-level only inside a bracket around that prediction (Barth, Martin &
-Wilkinson, Numer. Math. 9, 386 (1967)): 1e-3 relative around the coarser
-energy on the second grid, and on the third around c2 + (c2 - c1) / 2^p,
-p the leading exponent below, with half-width 4 |c2 - c1| / 2^p +
-1e-12 c2.  ``stebz`` in value mode on (-||T||_inf, x] with an absolute
-tolerance above that width stops after its endpoint Sturm counts and
-returns count(x), the number of eigenvalues at or below x.  A block's
-brackets are certified when they are disjoint, ascending and above
--||T||_inf, count at the first lower end equals the index of its first
-wanted eigenvalue, count at the last upper end equals one past its last,
-and each bracket holds exactly one eigenvalue; bracket j then holds the
-j-th wanted eigenvalue.
-Inside a certified bracket the bisection stops at eps ||T||_inf / 16 of
-the block, below LAPACK's default, and eigenvectors come from ``stein``.
-A block whose brackets fail any of these checks is solved by index, as
-on the first grid.  ``solve_eigenvalues`` and the Hellmann-Feynman
-pressure below bracket their later grids; ``convergence_study`` solves
-every grid by index.
+placed to about 1e-5 relative by the grids before it: at the coarser
+energy on the second grid, and on the third at c2 + (c2 - c1) / 2^p, p
+the leading exponent below.  One LAPACK ``stein`` call per block takes a
+unit vector u of each wanted level by inverse iteration at these
+centres, and the level's energy is the vector's Rayleigh quotient, whose
+error is second order in the vector's (Parlett, The Symmetric Eigenvalue
+Problem, SIAM 1998, ch. 4 and 10), summed as
+
+    theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
+
+with r_i the row sums of the block and e_i its off-diagonal.  The r_i are
+V_i >= 0, or k + V_i and up to 2 k + V_i in the first and last rows, but
+for the row before the centre of an odd grid's even block, V_i -
+(sqrt(2) - 1) k; so the sum does not cancel the terms 2 k u_i^2 that
+u^T T u does.  The disc [theta - rho, theta + rho],
+
+    rho = ||T u - theta u||_2 + 4 eps (|| |T| |u| ||_2 + |theta|),
+
+the residual plus a bound on its rounding, holds an eigenvalue.  With
+fences a = theta_first (1 - 1e-3) > -||T||_inf and b = theta_last
+(1 + 1e-3), the block is certified when its discs are disjoint and lie
+inside (a, b), count(a) equals the index of its first wanted eigenvalue
+and count(b) one past its last, so that disc j holds eigenvalue low + j,
+and the Kato-Temple bound rho^2 / delta of every level, delta the
+distance from theta to the nearest other disc or fence, is at most
+eps ||T||_inf / 16: no accepted energy is looser than a bisection to
+that tolerance.  count(x), the number of eigenvalues at or below x, is
+``stebz`` in value mode on (-||T||_inf, x] with an absolute tolerance
+above that width, which stops after its endpoint Sturm counts.  A block
+that fails any check is solved by index, as on the first grid.
+``solve_eigenvalues`` and the Hellmann-Feynman pressure below refine
+their later grids this way; ``convergence_study`` solves every grid by
+index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
 leading error terms: h^2 and h^4, or, for 0 < V0 / T < 3/4, the wall term
@@ -191,11 +205,10 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
     return (values, even_diagonal, off_diagonal), (values, diagonal, off_diagonal)
 
 
-def _bracketed(diagonal, off_diagonal, low: int, lower, upper, vectors: bool):
-    """Eigenvalues low, low + 1, ... of one block, one in each bracket
-    (lower[j], upper[j]], and with ``vectors`` their unit vectors, found by
-    bisection inside the brackets; None when the Sturm counts do not
-    certify that bracket j holds eigenvalue low + j."""
+def _refined(diagonal, off_diagonal, low: int, centres):
+    """Eigenvalues low, low + 1, ... of one block and their unit vectors,
+    from one inverse iteration at ``centres`` and the vectors' Rayleigh
+    quotients; None when the certificate of the module docstring fails."""
     from scipy.linalg import get_lapack_funcs
 
     stebz, stein = get_lapack_funcs(("stebz", "stein"), (diagonal, off_diagonal))
@@ -204,37 +217,51 @@ def _bracketed(diagonal, off_diagonal, low: int, lower, upper, vectors: bool):
     rows[:-1] += magnitude
     rows[1:] += magnitude
     norm = rows.max()  # ||T||_inf, so -norm lies below every eigenvalue
-    if not (-norm < lower[0] and np.all(lower < upper) and np.all(upper[:-1] < lower[1:])):
+    # stein takes finite centres in ascending order
+    if not (-norm < centres[0] and np.all(centres[:-1] < centres[1:]) and centres[-1] < norm):
         return None
+    size = diagonal.size
+    vector, info = stein(
+        diagonal, off_diagonal, centres, np.ones(size, np.int32), np.full(size, size, np.int32)
+    )
+    if info:
+        raise ConvergenceError(f"tridiagonal eigensolver failed: stein info {info}")
 
-    def bisect(start, stop, tolerance):
-        found, values, block, splits, info = stebz(
-            diagonal, off_diagonal, 1, start, stop, 0, 0, tolerance, "B"
-        )
-        if info:
-            raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
-        return found, values, block, splits
+    def times(diagonal, off_diagonal, columns):
+        product = diagonal[:, None] * columns
+        product[:-1] += off_diagonal[:, None] * columns[1:]
+        product[1:] += off_diagonal[:, None] * columns[:-1]
+        return product
+
+    sums = diagonal.copy()  # row sums of the block
+    sums[:-1] += off_diagonal
+    sums[1:] += off_diagonal
+    energies = sums @ vector**2 - off_diagonal @ np.diff(vector, axis=0) ** 2
+    eps = np.finfo(float).eps
+    radius = np.linalg.norm(times(diagonal, off_diagonal, vector) - energies * vector, axis=0)
+    radius += 4.0 * eps * (
+        np.linalg.norm(times(np.abs(diagonal), magnitude, np.abs(vector)), axis=0)
+        + np.abs(energies)
+    )
+    lower, upper = energies - radius, energies + radius
+    start, stop = energies[0] * (1.0 - 1e-3), energies[-1] * (1.0 + 1e-3)
+    if not (-norm < start < lower[0] and upper[-1] < stop and np.all(upper[:-1] < lower[1:])):
+        return None
+    # distance from each energy to the nearest other disc or fence
+    gap = np.minimum(energies - np.append(start, upper[:-1]), np.append(lower[1:], stop) - energies)
+    if np.any(radius * radius > eps * norm / 16.0 * gap):
+        return None
 
     def count(x):
         # an abstol above the interval's width stops after the endpoint counts
-        return bisect(-norm, x, 2.0 * (x + norm))[0]
+        found, *_, info = stebz(diagonal, off_diagonal, 1, -norm, x, 0, 0, 2.0 * (x + norm), "B")
+        if info:
+            raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
+        return found
 
-    if count(lower[0]) != low or count(upper[-1]) != low + lower.size:
+    if count(start) != low or count(stop) != low + energies.size:
         return None
-    tolerance = np.finfo(float).eps * norm / 16.0
-    energies = np.empty(lower.size)
-    vector = np.empty((diagonal.size, lower.size)) if vectors else None
-    for j, bracket in enumerate(zip(lower, upper)):
-        found, values, block, splits = bisect(*bracket, tolerance)
-        if found != 1:
-            return None
-        energies[j] = values[0]
-        if vectors:
-            column, info = stein(diagonal, off_diagonal, values[:1], block, splits)
-            if info:
-                raise ConvergenceError(f"tridiagonal eigensolver failed: stein info {info}")
-            vector[:, j] = column[:, 0]
-    return (energies, vector) if vectors else energies
+    return energies, vector
 
 
 def _fd_levels(
@@ -243,16 +270,16 @@ def _fd_levels(
     first: int,
     last: int,
     vectors: bool = False,
-    brackets: tuple | None = None,
+    centres: np.ndarray | None = None,
 ) -> tuple:
     """Energies of levels ``first``..``last`` on one grid, solved per
     parity block, and with ``vectors`` their exact -dE_h/dL, else None.
 
     Level l is eigenvalue (l - 1) // 2 of block (l - 1) % 2, and a block
     with no wanted level is skipped.  A unit block eigenvector u gives the
-    full-grid sum_i V_i psi_i^2 as ``values @ u**2``.  ``brackets``, a pair
-    of arrays (lower, upper) over the wanted levels, lets each block
-    bisect inside them; a block they do not certify is solved by index.
+    full-grid sum_i V_i psi_i^2 as ``values @ u**2``.  ``centres``, the
+    predicted energies of the wanted levels, let each block take them from
+    inverse iteration; a block they do not certify is solved by index.
     """
     from scipy.linalg import eigh_tridiagonal
 
@@ -265,10 +292,10 @@ def _fd_levels(
             continue
         wanted = slice(2 * low + parity + 1 - first, None, 2)
         solution = None
-        if brackets is not None:
-            solution = _bracketed(
-                diagonal, off_diagonal, low, brackets[0][wanted], brackets[1][wanted], vectors
-            )
+        if centres is not None:
+            solution = _refined(diagonal, off_diagonal, low, centres[wanted])
+            if solution is not None and not vectors:
+                solution = solution[0]
         if solution is None:
             try:
                 solution = eigh_tridiagonal(
@@ -284,19 +311,16 @@ def _fd_levels(
     return energies, pressures
 
 
-def _brackets(energies: list, exponent: float) -> tuple | None:
-    """Brackets (lower, upper) of the levels on the next grid, from their
-    energies on the grids before it, or None for the first grid: 1e-3
-    relative around the one coarser energy, else around the step to the
-    next grid predicted from the last two, h^``exponent`` with h halving."""
+def _centres(energies: list, exponent: float) -> np.ndarray | None:
+    """Predicted energies of the levels on the next grid, from their
+    energies on the grids before it, or None for the first grid: the one
+    coarser energy, else the last plus the step to the next grid predicted
+    from the last two, h^``exponent`` with h halving."""
     if not energies:
         return None
     if len(energies) == 1:
-        centre, half = energies[0], 1e-3 * np.abs(energies[0])
-    else:
-        step = (energies[-1] - energies[-2]) / 2.0**exponent
-        centre, half = energies[-1] + step, 4.0 * np.abs(step) + 1e-12 * np.abs(energies[-1])
-    return centre - half, centre + half
+        return energies[0]
+    return energies[-1] + (energies[-1] - energies[-2]) / 2.0**exponent
 
 
 def _wall_exponents(params: PTParameters) -> tuple:
@@ -341,8 +365,8 @@ def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum
     exponents = _wall_exponents(params)
     columns = []
     for size in grid.grid_sequence():
-        brackets = _brackets(columns, exponents[0])
-        columns.append(_fd_levels(params, size, 1, grid.level_count, brackets=brackets)[0])
+        centres = _centres(columns, exponents[0])
+        columns.append(_fd_levels(params, size, 1, grid.level_count, centres=centres)[0])
     eigenvalues, estimates = _richardson(columns, exponents)
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
@@ -367,8 +391,8 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
         exponents = _wall_exponents(params)
         energies, columns = [], []
         for size in _PRESSURE_GRID.grid_sequence():
-            brackets = _brackets(energies, exponents[0])
-            energy, pressure = _fd_levels(params, size, n, n, vectors=True, brackets=brackets)
+            centres = _centres(energies, exponents[0])
+            energy, pressure = _fd_levels(params, size, n, n, vectors=True, centres=centres)
             energies.append(energy)
             columns.append(pressure[0])
         return float(_richardson(columns, exponents)[0])
@@ -390,13 +414,16 @@ class ConvergenceReport:
 
     ``errors[i, j]`` is |E_numeric - E_closed| for grid i and level j;
     ``slopes[j]`` is the fitted log-log slope of that error against the
-    spacing h, expected near 2 for the second-order stencil.
+    spacing h.  ``expected_order`` is the exponent of the leading error
+    term that the slopes should approach: 2 for the second-order stencil,
+    or the wall exponent sqrt(1 + 4 V0 / T) when 0 < V0 / T < 3/4.
     """
 
     grid_sizes: tuple[int, ...]
     spacings: tuple[float, ...]
     errors: np.ndarray
     slopes: np.ndarray
+    expected_order: float
 
 
 def convergence_study(
@@ -423,4 +450,5 @@ def convergence_study(
         spacings=tuple(spacings),
         errors=error_matrix,
         slopes=slopes,
+        expected_order=float(min(_wall_exponents(params))),
     )

@@ -93,6 +93,27 @@ class TestSolveEigenvalues:
         expected = closed_energies(params, 10)
         assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-6
 
+    # The refined grids take each level from a certified Rayleigh quotient,
+    # so the extrapolated energies are not held at the bisection tolerance;
+    # measured worst errors: wide 4.7e-11, box 7.0e-12, V0 = 50 1.3e-11,
+    # V0 = 1e4 3.7e-10, V0 = 5e5 1.1e-9.
+    @pytest.mark.parametrize(
+        "well, bound",
+        [
+            ("wide_well", 5e-10),
+            ("box", 1e-10),
+            (PTParameters(mass=1.0, well_depth=50.0, half_width=math.pi / 2), 2e-10),
+            (PTParameters(mass=1.0, well_depth=1e4, half_width=math.pi / 2), 4e-9),
+            (PTParameters(mass=1.0, well_depth=5e5, half_width=math.pi / 2), 1e-8),
+        ],
+        ids=["wide", "box", "V0=50", "V0=1e4", "V0=5e5"],
+    )
+    def test_three_grid_accuracy(self, request, well, bound):
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        spectrum = solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
+        expected = closed_energies(params, 10)
+        assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= bound
+
     def test_wall_exponent_rule(self, request):
         # the oracle solves the indicial equation itself; 2 s - 1 = 1 + lambda
         for well in ("unit_well", "wide_well", "box"):
@@ -292,16 +313,26 @@ class TestParityFold:
         np.testing.assert_allclose(pressures, full, rtol=1e-6)
 
 
-# The finer grid bisects each level only inside a bracket predicted from
-# the coarser grid, once two Sturm counts per block certify the brackets.
+# The finer grid takes each level from inverse iteration at a centre
+# predicted from the coarser grid, once its Rayleigh quotient is certified.
 WINDOWS = [(1, 10), (3, 7)] + [(n, n) for n in range(1, 6)]
 
+# V0 / T from 2e-3 to 1e6 at L = pi/2, where T = 1/2; V0 = 50, 1e4 and 5e5
+# are the ratios 100, 2e4 and 1e6
+RATIO_WELLS = [
+    pytest.param(
+        PTParameters(mass=1.0, well_depth=0.5 * ratio, half_width=math.pi / 2),
+        id=f"V0/T={ratio:g}",
+    )
+    for ratio in (2e-3, 1e-2, 0.1, 0.5, 0.75, 1.0, 3.0, 10.0, 100.0, 2e4, 1e6)
+]
 
-def coarse_brackets(params: PTParameters, n_points: int, first: int, last: int):
-    """Brackets of levels ``first``..``last`` on the grid after one of
+
+def coarse_centres(params: PTParameters, n_points: int, first: int, last: int):
+    """Centres of levels ``first``..``last`` on the grid after one of
     ``n_points`` nodes, predicted from that grid's energies."""
-    centres = oracle._fd_levels(params, n_points, first, last)[0]
-    return oracle._brackets([centres], oracle._wall_exponents(params)[0])
+    energies = oracle._fd_levels(params, n_points, first, last)[0]
+    return oracle._centres([energies], oracle._wall_exponents(params)[0])
 
 
 class TestBracketedSolve:
@@ -310,29 +341,38 @@ class TestBracketedSolve:
     @pytest.mark.parametrize("first, last", WINDOWS)
     def test_agrees_with_index_solve(self, request, well, coarse, fine, first, last):
         params = request.getfixturevalue(well)
-        brackets = coarse_brackets(params, coarse, first, last)
+        centres = coarse_centres(params, coarse, first, last)
         energies, pressures = oracle._fd_levels(
-            params, fine, first, last, vectors=True, brackets=brackets
+            params, fine, first, last, vectors=True, centres=centres
         )
-        alone = oracle._fd_levels(params, fine, first, last, brackets=brackets)[0]
+        alone = oracle._fd_levels(params, fine, first, last, centres=centres)[0]
         expected, expected_pressures = oracle._fd_levels(params, fine, first, last, vectors=True)
         floor = max(bisection_floor(*block[1:]) for block in oracle._parity_blocks(params, fine, 1))
         assert np.array_equal(alone, energies)
         assert np.max(np.abs(energies - expected)) <= floor
         np.testing.assert_allclose(pressures, expected_pressures, rtol=1e-6)
 
-    # on the 4000 -> 8001 step every block certifies, so no index solve runs
-    @pytest.mark.parametrize("well", WELLS)
+    # After the first grid every block certifies, so no index solve runs on
+    # the 4000 -> 8001 and 8001 -> 16003 steps of the eigensolve or on the
+    # 4000 -> 8001 step of the pressure.
+    @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
         import scipy.linalg
 
-        def fail(*args, **kwargs):
-            raise AssertionError("index solve on a certified block")
+        real = scipy.linalg.eigh_tridiagonal
+        sizes = []
 
-        params = request.getfixturevalue(well)
-        brackets = coarse_brackets(params, 4000, 1, 10)
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
-        oracle._fd_levels(params, 8001, 1, 10, vectors=True, brackets=brackets)
+        def index_solve(diagonal, *args, **kwargs):
+            sizes.append(diagonal.size)
+            return real(diagonal, *args, **kwargs)
+
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", index_solve)
+        solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
+        for n in range(1, 6):
+            numerical_pressure(params, n, use_eigenvalues=True)
+        # the blocks of the first grid, N = 4000, have 2000 nodes
+        assert set(sizes) == {2000}
 
     # Centres on the next level of the block, scaled by 1.3, or NaN in each
     # block fail certification, and the index solve's bits come back.
@@ -347,32 +387,98 @@ class TestBracketedSolve:
             centres *= 1.3
         elif wrong == "nan":
             centres[:2] = np.nan
-        brackets = oracle._brackets([centres], oracle._wall_exponents(params)[0])
+        centres = oracle._centres([centres], oracle._wall_exponents(params)[0])
         energies, pressures = oracle._fd_levels(
-            params, 8001, first, last, vectors=True, brackets=brackets
+            params, 8001, first, last, vectors=True, centres=centres
         )
         expected, expected_pressures = oracle._fd_levels(params, 8001, first, last, vectors=True)
         assert np.array_equal(energies, expected)
         assert np.array_equal(pressures, expected_pressures)
 
-    # The two end counts pass when one bracket holds both even levels 1
-    # and 3 and the next holds none; the per-bracket count catches it.
+    # The even block of levels 3..5 centred on levels 1 and 5, or 3 and 7:
+    # the discs hold one eigenvalue each, and only the count at the lower,
+    # or the upper, fence sees that a wanted level is skipped.
     @pytest.mark.parametrize("well", WELLS)
-    def test_bracket_holding_two_levels_falls_back(self, request, well):
+    @pytest.mark.parametrize("skipped, level", [("lower", 1), ("upper", 7)])
+    def test_centres_skipping_a_level_fall_back(self, request, well, skipped, level):
         params = request.getfixturevalue(well)
-        expected, expected_pressures = oracle._fd_levels(params, 8001, 1, 3, vectors=True)
-        gap = expected[2] - expected[0]
-        lower = expected + np.array([-0.1, -1e-3, 0.1]) * gap
-        upper = expected + np.array([1.05, 1e-3, 0.2]) * gap
-        energies, pressures = oracle._fd_levels(
-            params, 8001, 1, 3, vectors=True, brackets=(lower, upper)
-        )
+        exact = oracle._fd_levels(params, 8001, 1, 7)[0]
+        centres = exact[2:5].copy()
+        centres[0 if skipped == "lower" else 2] = exact[level - 1]
+        energies, pressures = oracle._fd_levels(params, 8001, 3, 5, vectors=True, centres=centres)
+        expected, expected_pressures = oracle._fd_levels(params, 8001, 3, 5, vectors=True)
         assert np.array_equal(energies[::2], expected[::2])
         assert np.array_equal(pressures[::2], expected_pressures[::2])
 
+    # Both centres of the even block on level 1: inverse iteration
+    # orthogonalizes the second vector against the first, so it only partly
+    # turns to level 3, and its disc reaches past the upper fence.
+    @pytest.mark.parametrize("well", WELLS)
+    def test_two_centres_on_one_level_fall_back(self, request, well):
+        params = request.getfixturevalue(well)
+        expected, expected_pressures = oracle._fd_levels(params, 8001, 1, 3, vectors=True)
+        centres = expected.copy()
+        centres[2] = expected[0] * (1.0 + 1e-9)
+        energies, pressures = oracle._fd_levels(params, 8001, 1, 3, vectors=True, centres=centres)
+        assert np.array_equal(energies[::2], expected[::2])
+        assert np.array_equal(pressures[::2], expected_pressures[::2])
+
+    # On the 64 -> 129 step, with centres up to 16 % off, these windows pass
+    # the discs and the counts, but inverse iteration has only partly
+    # converged: the Rayleigh quotients are up to 1.3e-6 off (unit well) and
+    # 2.4e-7 relative (wide well, level 5).  The Temple bound rejects them,
+    # and the index solve's bits come back.
+    @pytest.mark.parametrize("well, first, last", [("unit_well", 1, 10), ("wide_well", 5, 5)])
+    def test_temple_bound_rejects_unconverged_vectors(self, request, well, first, last):
+        params = request.getfixturevalue(well)
+        centres = coarse_centres(params, 64, first, last)
+        energies, pressures = oracle._fd_levels(
+            params, 129, first, last, vectors=True, centres=centres
+        )
+        expected, expected_pressures = oracle._fd_levels(params, 129, first, last, vectors=True)
+        assert np.array_equal(energies, expected)
+        assert np.array_equal(pressures, expected_pressures)
+        temple = []
+        blocks = oracle._parity_blocks(params, 129, last)
+        for parity, (_, diagonal, off_diagonal) in enumerate(blocks):
+            low, high = (first - parity) // 2, (last - 1 - parity) // 2
+            if low <= high:
+                wanted = centres[2 * low + parity + 1 - first :: 2]
+                temple.append(dense_certificate(diagonal, off_diagonal, low, wanted))
+        assert max(temple) > 1.0
+
+
+def dense_certificate(diagonal, off_diagonal, low: int, centres) -> float:
+    """Check, on the dense matrix of one block, that the vectors of inverse
+    iteration at ``centres`` give disjoint discs inside the fences and the
+    right eigenvalue counts, and return the largest Temple bound
+    rho^2 / delta in units of eps ||T||_inf / 16."""
+    from scipy.linalg import get_lapack_funcs
+
+    (stein,) = get_lapack_funcs(("stein",), (diagonal,))
+    size = diagonal.size
+    vector, info = stein(
+        diagonal, off_diagonal, centres, np.ones(size, np.int32), np.full(size, size, np.int32)
+    )
+    assert info == 0
+    matrix = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+    energies = np.einsum("ij,ij->j", vector, matrix @ vector)
+    eps = np.finfo(float).eps
+    radius = np.linalg.norm(matrix @ vector - energies * vector, axis=0) + 4.0 * eps * (
+        np.linalg.norm(np.abs(matrix) @ np.abs(vector), axis=0) + np.abs(energies)
+    )
+    start, stop = energies[0] * (1.0 - 1e-3), energies[-1] * (1.0 + 1e-3)
+    lower, upper = energies - radius, energies + radius
+    assert start < lower[0] and upper[-1] < stop and np.all(upper[:-1] < lower[1:])
+    spectrum = np.linalg.eigvalsh(matrix)
+    assert np.sum(spectrum <= start) == low
+    assert np.sum(spectrum <= stop) == low + energies.size
+    gap = np.minimum(energies - np.append(start, upper[:-1]), np.append(lower[1:], stop) - energies)
+    return np.max(radius**2 / gap) / (eps * np.abs(matrix).sum(axis=1).max() / 16.0)
+
 
 def fail_lapack_routine(monkeypatch, name: str) -> None:
-    """Make the LAPACK routine ``name`` of the bracketed solve report
+    """Make the LAPACK routine ``name`` of the refined solve report
     info = 1; scipy.linalg is imported when the solver runs, so patching
     the module attribute reaches the call."""
     import scipy.linalg
@@ -411,6 +517,13 @@ class TestConvergenceStudy:
         params = PTParameters(mass=1.0, well_depth=0.0, half_width=1.0)
         report = convergence_study(params, [500, 1000, 2000], level_count=3)
         assert np.all(np.abs(report.slopes - 2.0) <= 0.2)
+
+    # Roache's observed order is compared with the leading exponent: 2,
+    # or sqrt(1 + 4 V0 / T) = sqrt(1.04) for the shallow well's V0 / T = 0.01
+    def test_expected_order(self, unit_well, shallow_well):
+        assert convergence_study(unit_well, [500, 1000], level_count=1).expected_order == 2.0
+        report = convergence_study(shallow_well, [500, 1000], level_count=1)
+        assert report.expected_order == pytest.approx(math.sqrt(1.04), rel=1e-14)
 
     def test_grid_ordering_normalized(self, unit_well):
         report = convergence_study(unit_well, [2000, 500, 1000], level_count=1)
@@ -483,7 +596,7 @@ class TestNonFiniteResult:
     # through the same routine.
     @pytest.fixture(autouse=True)
     def nan_solver(self, monkeypatch):
-        def solve(params, n_points, first, last, vectors=False, brackets=None):
+        def solve(params, n_points, first, last, vectors=False, centres=None):
             nan = np.full(last - first + 1, np.nan)
             return nan, (nan.copy() if vectors else None)
 
