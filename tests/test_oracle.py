@@ -423,11 +423,12 @@ class TestBracketedSolve:
         assert np.array_equal(energies[::2], expected[::2])
         assert np.array_equal(pressures[::2], expected_pressures[::2])
 
-    # On the 64 -> 129 step, with centres up to 16 % off, these windows pass
-    # the discs and the counts, but inverse iteration has only partly
-    # converged: the Rayleigh quotients are up to 1.3e-6 off (unit well) and
-    # 2.4e-7 relative (wide well, level 5).  The Temple bound rejects them,
-    # and the index solve's bits come back.
+    # On the 64 -> 129 step, with centres up to 1.6 % (unit well) and 5.9 %
+    # (wide well) off, these windows pass the discs and the counts, but
+    # inverse iteration has only partly converged: the Rayleigh quotients
+    # are up to 1.3e-6 off (unit well) and 2.4e-7 relative (wide well,
+    # level 5).  The Temple bound rejects them, and the index solve's bits
+    # come back.
     @pytest.mark.parametrize("well, first, last", [("unit_well", 1, 10), ("wide_well", 5, 5)])
     def test_temple_bound_rejects_unconverged_vectors(self, request, well, first, last):
         params = request.getfixturevalue(well)
