@@ -2,12 +2,14 @@
 
 A second-order finite-difference discretization of the Hamiltonian on a
 uniform grid over (-L, L) gives a symmetric tridiagonal matrix whose
-lowest eigenvalues are computed by LAPACK (via scipy), by bisection on
-Sturm sequences or by certified inverse iteration.  The hard walls are
-imposed by excluding the endpoints, so every sampled potential value is
-finite and the divergence of tan^2 near the walls enforces decay on its
-own; no capping is applied.  scipy is imported on the first solver call,
-so programs that use only the closed forms never load it.
+lowest eigenvalues are computed by the LAPACK routines ``stebz``
+(bisection on Sturm sequences) and ``stein`` (inverse iteration).  The
+hard walls are imposed by excluding the endpoints, so every sampled
+potential value is finite and the divergence of tan^2 near the walls
+enforces decay on its own; no capping is applied.  Both routines are
+taken on the first solver call from scipy's compiled LAPACK extension,
+loaded without the ``scipy.linalg`` package and its start-up, so programs
+that use only the closed forms never load scipy.
 
 The potential is even and the grid is mirror-symmetric about x = 0, so
 the matrix splits exactly into an even and an odd block of about half
@@ -27,11 +29,11 @@ Algebra Appl. 13, 275 (1976)), so level n is the ((n - 1) // 2)-th
 eigenvalue of the even block for odd n and of the odd block for even n.
 
 The first grid is solved by index, bisecting from the Gershgorin
-interval of each block (LAPACK ``stebz`` through ``eigh_tridiagonal``,
-absolute tolerance eps ||T||).  Each later grid already has every level
-placed to about 1e-5 relative by the grids before it: at the coarser
-energy on the second grid, and on the third at c2 + (c2 - c1) / 2^p, p
-the leading exponent below.  One LAPACK ``stein`` call per block takes a
+interval of each block (``stebz``, absolute tolerance eps ||T||, and
+``stein`` for the vectors, the calls of scipy's ``eigh_tridiagonal``).
+Each later grid already has every level placed to about 1e-5 relative by
+the grids before it: at the coarser energy on the second grid, and on
+the third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  One LAPACK ``stein`` call per block takes a
 unit vector u of each wanted level by inverse iteration at these
 centres, and the level's energy is the vector's Rayleigh quotient, whose
 error is second order in the vector's (Parlett, The Symmetric Eigenvalue
@@ -82,7 +84,11 @@ the exponents of the eigenvalues; no step in L is taken.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -205,13 +211,55 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
     return (values, even_diagonal, off_diagonal), (values, diagonal, off_diagonal)
 
 
+@functools.cache
+def _lapack():
+    """The float64 LAPACK routines ``(dstebz, dstein)`` of scipy's f2py
+    extension ``scipy.linalg._flapack``, loaded from its file without
+    running ``scipy/linalg/__init__.py``, whose array-API setup would
+    import numpy's f2py, random and testing packages.  Importing scipy
+    first runs its distributor init, which on Windows registers the folder
+    of the bundled OpenBLAS."""
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "linalg")
+    finder = importlib.machinery.FileFinder(
+        folder,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dstebz, module.dstein
+
+
+def _indexed(diagonal, off_diagonal, low: int, high: int, vectors: bool):
+    """Eigenvalues low..high of one block by bisection, and with
+    ``vectors`` their unit vectors by inverse iteration, else None, from
+    the LAPACK calls of scipy's ``eigh_tridiagonal(select="i")``."""
+    stebz, stein = _lapack()
+    # block order when stein takes the eigenvalues, then ascending order
+    found, energies, block, split, info = stebz(
+        diagonal, off_diagonal, 2, 0.0, 1.0, low + 1, high + 1, 0.0, "B" if vectors else "E"
+    )
+    if info:
+        raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
+    energies = energies[:found]
+    if not vectors:
+        return energies, None
+    vector, info = stein(diagonal, off_diagonal, energies, block, split)
+    if info:
+        raise ConvergenceError(f"tridiagonal eigensolver failed: stein info {info}")
+    order = np.argsort(energies)
+    return energies[order], vector[:, order]
+
+
 def _refined(diagonal, off_diagonal, low: int, centres):
     """Eigenvalues low, low + 1, ... of one block and their unit vectors,
     from one inverse iteration at ``centres`` and the vectors' Rayleigh
     quotients; None when the certificate of the module docstring fails."""
-    from scipy.linalg import get_lapack_funcs
-
-    stebz, stein = get_lapack_funcs(("stebz", "stein"), (diagonal, off_diagonal))
+    stebz, stein = _lapack()
     magnitude = np.abs(off_diagonal)
     rows = np.abs(diagonal)
     rows[:-1] += magnitude
@@ -281,8 +329,6 @@ def _fd_levels(
     predicted energies of the wanted levels, let each block take them from
     inverse iteration; a block they do not certify is solved by index.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     energies = np.empty(last - first + 1)
     pressures = np.empty_like(energies) if vectors else None
     blocks = _parity_blocks(params, n_points, last)
@@ -294,20 +340,11 @@ def _fd_levels(
         solution = None
         if centres is not None:
             solution = _refined(diagonal, off_diagonal, low, centres[wanted])
-            if solution is not None and not vectors:
-                solution = solution[0]
         if solution is None:
-            try:
-                solution = eigh_tridiagonal(
-                    diagonal, off_diagonal, select="i", select_range=(low, high),
-                    eigvals_only=not vectors,
-                )
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"tridiagonal eigensolver failed: {exc}") from exc
+            solution = _indexed(diagonal, off_diagonal, low, high, vectors)
+        energies[wanted], vector = solution
         if vectors:
-            solution, vector = solution
-            pressures[wanted] = 2.0 * (solution - values @ vector**2) / params.half_width
-        energies[wanted] = solution
+            pressures[wanted] = 2.0 * (energies[wanted] - values @ vector**2) / params.half_width
     return energies, pressures
 
 
