@@ -2,7 +2,8 @@
 
 scipy is imported only inside the oracle functions that call its
 eigensolver, so the closed-form subcommands and the Bohr-Sommerfeld
-comparison never pay for its import.  Each probe runs in a fresh
+comparison never pay for its import, and the oracle loads scipy's LAPACK
+extension without the scipy.linalg package.  Each probe runs in a fresh
 interpreter, because this process has loaded scipy already.
 """
 
@@ -63,8 +64,46 @@ def test_validate_loads_only_the_eigensolver():
         [["validate", *UNIT, "--grid-n", "200", "--levels", "2", "--tolerance", "1"]]
     )
     assert code == 0
-    assert "scipy.linalg" in loaded
+    assert [m for m in loaded if m.startswith("scipy.linalg")] == ["scipy.linalg._flapack"]
     assert not [m for m in loaded if m.startswith(("scipy.integrate", "scipy.optimize"))]
+
+
+# After validate has loaded the LAPACK extension, the caller's own
+# `import scipy.linalg` works and its eigensolver agrees with the oracle.
+AFTER_VALIDATE = """
+import contextlib, io, json, sys
+import numpy as np
+from ptoscillator import PTParameters, cli, oracle
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+import scipy.linalg
+params = PTParameters(mass=1.0, well_depth=0.375, half_width=1.5707963267948966)
+(values, diagonal, off_diagonal), _ = oracle._parity_blocks(params, 64, 5)
+energy, vector = scipy.linalg.eigh_tridiagonal(
+    diagonal, off_diagonal, select="i", select_range=(0, 2)
+)
+energies, pressures = oracle._fd_levels(params, 64, 1, 5, vectors=True)
+print(json.dumps([
+    code,
+    oracle._lapack()[0] is scipy.linalg.lapack.dstebz,
+    bool(np.array_equal(energies[::2], energy)),
+    bool(np.array_equal(pressures[::2], 2.0 * (energy - values @ vector**2) / params.half_width)),
+]))
+"""
+
+
+def test_scipy_linalg_works_after_validate():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = ["validate", *UNIT, "--grid-n", "200", "--levels", "2", "--tolerance", "1"]
+    done = subprocess.run(
+        [sys.executable, "-c", AFTER_VALIDATE, json.dumps(argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert json.loads(done.stdout) == [0, True, True, True]
 
 
 def test_semiclassical_compare_loads_no_scipy():

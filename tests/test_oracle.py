@@ -328,6 +328,36 @@ RATIO_WELLS = [
 ]
 
 
+# Without centres every block is solved by index with the LAPACK calls of
+# scipy's eigh_tridiagonal(select="i"), so its bits come back.
+class TestIndexSolve:
+    @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
+    @pytest.mark.parametrize("n_points", [64, 999, 4000])
+    @pytest.mark.parametrize("first, last", [(1, 1), (1, 10), (3, 8)])
+    def test_bitwise_equal_to_eigh_tridiagonal(self, request, well, n_points, first, last):
+        from scipy.linalg import eigh_tridiagonal
+
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        expected = np.empty(last - first + 1)
+        expected_pressures = np.empty_like(expected)
+        alone = np.empty_like(expected)
+        blocks = oracle._parity_blocks(params, n_points, last)
+        for parity, (values, diagonal, off_diagonal) in enumerate(blocks):
+            low, high = (first - parity) // 2, (last - 1 - parity) // 2
+            if low > high:
+                continue
+            wanted = slice(2 * low + parity + 1 - first, None, 2)
+            window = dict(select="i", select_range=(low, high))
+            alone[wanted] = eigh_tridiagonal(diagonal, off_diagonal, eigvals_only=True, **window)
+            energy, vector = eigh_tridiagonal(diagonal, off_diagonal, **window)
+            expected[wanted] = energy
+            expected_pressures[wanted] = 2.0 * (energy - values @ vector**2) / params.half_width
+        assert np.array_equal(oracle._fd_levels(params, n_points, first, last)[0], alone)
+        energies, pressures = oracle._fd_levels(params, n_points, first, last, vectors=True)
+        assert np.array_equal(energies, expected)
+        assert np.array_equal(pressures, expected_pressures)
+
+
 def coarse_centres(params: PTParameters, n_points: int, first: int, last: int):
     """Centres of levels ``first``..``last`` on the grid after one of
     ``n_points`` nodes, predicted from that grid's energies."""
@@ -357,17 +387,16 @@ class TestBracketedSolve:
     # 4000 -> 8001 step of the pressure.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
-        import scipy.linalg
-
-        real = scipy.linalg.eigh_tridiagonal
+        stebz, stein = oracle._lapack()
         sizes = []
 
-        def index_solve(diagonal, *args, **kwargs):
-            sizes.append(diagonal.size)
-            return real(diagonal, *args, **kwargs)
+        def recording_stebz(diagonal, off_diagonal, mode, *args):
+            if mode == 2:  # by index, as only the index solve calls it
+                sizes.append(diagonal.size)
+            return stebz(diagonal, off_diagonal, mode, *args)
 
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", index_solve)
+        monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein))
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
         for n in range(1, 6):
             numerical_pressure(params, n, use_eigenvalues=True)
@@ -478,34 +507,47 @@ def dense_certificate(diagonal, off_diagonal, low: int, centres) -> float:
     return np.max(radius**2 / gap) / (eps * np.abs(matrix).sum(axis=1).max() / 16.0)
 
 
-def fail_lapack_routine(monkeypatch, name: str) -> None:
-    """Make the LAPACK routine ``name`` of the refined solve report
-    info = 1; scipy.linalg is imported when the solver runs, so patching
-    the module attribute reaches the call."""
-    import scipy.linalg
+def fail_lapack_routine(monkeypatch, name: str, above: int = 0) -> None:
+    """Make the oracle's LAPACK routine ``name`` report info = 1 at its
+    first call on a block of more than ``above`` nodes, so a solve that
+    retried the block another way would succeed."""
+    routines = dict(zip(("stebz", "stein"), oracle._lapack()))
+    routine = routines[name]
+    failed = []
 
-    real = scipy.linalg.get_lapack_funcs
+    def failing(diagonal, *args):
+        result = routine(diagonal, *args)
+        if failed or diagonal.size <= above:
+            return result
+        failed.append(diagonal.size)
+        return (*result[:-1], 1)
 
-    def lapack_funcs(names, arrays):
-        routines = dict(zip(names, real(names, arrays)))
-        routine = routines[name]
-        routines[name] = lambda *args: (*routine(*args)[:-1], 1)
-        return tuple(routines[each] for each in names)
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lapack_funcs)
+    routines[name] = failing
+    monkeypatch.setattr(oracle, "_lapack", lambda: (routines["stebz"], routines["stein"]))
 
 
 class TestBracketedSolverFailure:
+    # The blocks of the first grid, N = 4000, have 2000 nodes, so its index
+    # solve runs and the routine fails in the refined solve of N = 8001.
     @pytest.mark.parametrize("routine", ["stebz", "stein"])
     def test_pressure_is_convergence_error(self, unit_well, monkeypatch, routine):
-        fail_lapack_routine(monkeypatch, routine)
+        fail_lapack_routine(monkeypatch, routine, above=2000)
         with pytest.raises(ConvergenceError, match=f"eigensolver failed: {routine}"):
             numerical_pressure(unit_well, 1, use_eigenvalues=True)
 
     def test_eigensolve_is_convergence_error(self, unit_well, monkeypatch):
-        fail_lapack_routine(monkeypatch, "stebz")
+        fail_lapack_routine(monkeypatch, "stebz", above=2000)
         with pytest.raises(ConvergenceError, match="eigensolver failed: stebz"):
             solve_eigenvalues(unit_well, GridSpec(4000, 2, 3))
+
+
+class TestLapackLoader:
+    def test_missing_extension_is_import_error(self, tmp_path, monkeypatch):
+        import scipy
+
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError, match="_flapack"):
+            oracle._lapack.__wrapped__()
 
 
 class TestConvergenceStudy:
@@ -570,16 +612,10 @@ class TestNonFiniteHamiltonian:
 
 
 class TestEigensolverFailure:
-    # scipy.linalg is imported when the solver runs, so patching the
-    # module attribute reaches the call
+    # the index solve of the first grid reports info = 1
     @pytest.fixture(autouse=True)
     def failing_eigensolver(self, monkeypatch):
-        import scipy.linalg
-
-        def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("no convergence")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        fail_lapack_routine(monkeypatch, "stebz")
 
     def test_eigensolve_is_convergence_error(self, unit_well):
         with pytest.raises(ConvergenceError, match="eigensolver failed"):
