@@ -33,11 +33,12 @@ interval of each block (``stebz``, absolute tolerance eps ||T||, and
 ``stein`` for the vectors, the calls of scipy's ``eigh_tridiagonal``).
 Each later grid already has every level placed to about 1e-5 relative by
 the grids before it: at the coarser energy on the second grid, and on
-the third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  One LAPACK ``stein`` call per block takes a
-unit vector u of each wanted level by inverse iteration at these
-centres, and the level's energy is the vector's Rayleigh quotient, whose
-error is second order in the vector's (Parlett, The Symmetric Eigenvalue
-Problem, SIAM 1998, ch. 4 and 10), summed as
+the third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  One
+``stein`` call per block takes a unit vector u of each wanted level by
+inverse iteration at these centres, and the level's energy is the
+vector's Rayleigh quotient, whose error is second order in the vector's
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 10),
+summed as
 
     theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
 
