@@ -3,13 +3,13 @@
 A second-order finite-difference discretization of the Hamiltonian on a
 uniform grid over (-L, L) gives a symmetric tridiagonal matrix whose
 lowest eigenvalues are computed by the LAPACK routines ``stebz``
-(bisection on Sturm sequences) and ``stein`` (inverse iteration).  The
-hard walls are imposed by excluding the endpoints, so every sampled
-potential value is finite and the divergence of tan^2 near the walls
-enforces decay on its own; no capping is applied.  Both routines are
-taken on the first solver call from scipy's compiled LAPACK extension,
-loaded without the ``scipy.linalg`` package and its start-up, so programs
-that use only the closed forms never load scipy.
+(bisection on Sturm sequences), ``stein`` and ``gtsv`` (inverse
+iteration).  The hard walls are imposed by excluding the endpoints, so
+every sampled potential value is finite and the divergence of tan^2 near
+the walls enforces decay on its own; no capping is applied.  The
+routines are taken on the first solver call from scipy's compiled LAPACK
+extension, loaded without the ``scipy.linalg`` package and its start-up,
+so programs that use only the closed forms never load scipy.
 
 The potential is even and the grid is mirror-symmetric about x = 0, so
 the matrix splits exactly into an even and an odd block of about half
@@ -33,12 +33,22 @@ interval of each block (``stebz``, absolute tolerance eps ||T||, and
 ``stein`` for the vectors, the calls of scipy's ``eigh_tridiagonal``).
 Each later grid already has every level placed to about 1e-5 relative by
 the grids before it: at the coarser energy on the second grid, and on
-the third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  One
-``stein`` call per block takes a unit vector u of each wanted level by
-inverse iteration at these centres, and the level's energy is the
-vector's Rayleigh quotient, whose error is second order in the vector's
-(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4 and 10),
-summed as
+the third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  A
+unit vector u of each wanted level is taken by inverse iteration at its
+centre, each step one ``gtsv`` solve, LU with partial pivoting, of the
+shifted block.  From a start close to the level's vector, at a shift this
+close to its eigenvalue, one step suffices (Ipsen, SIAM Rev. 39, 254
+(1997)).  A grid solved with vectors, by index or refined, hands them to
+the next, whose nodes hold the coarse ones at every other node: they are
+O(h^2) approximations of the finer vectors and, interpolated linearly
+onto the finer nodes, start its iteration.  From them a block takes one
+step for energies alone, and one more when its certificate below fails,
+or two for the Hellmann-Feynman pressure, which is first order in the
+vector; without them, as on the second grid of ``solve_eigenvalues``,
+whose first is solved for energies alone, it takes three from a fixed
+ramp.  The level's energy is the vector's Rayleigh quotient, whose error
+is second order in the vector's (Parlett, The Symmetric Eigenvalue
+Problem, SIAM 1998, ch. 4 and 10), summed as
 
     theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
 
@@ -214,8 +224,8 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
 
 @functools.cache
 def _lapack():
-    """The float64 LAPACK routines ``(dstebz, dstein)`` of scipy's f2py
-    extension ``scipy.linalg._flapack``, loaded from its file without
+    """The float64 LAPACK routines ``(dstebz, dstein, dgtsv)`` of scipy's
+    f2py extension ``scipy.linalg._flapack``, loaded from its file without
     running ``scipy/linalg/__init__.py``, whose array-API setup would
     import numpy's f2py, random and testing packages.  Importing scipy
     first runs its distributor init, which on Windows registers the folder
@@ -232,14 +242,14 @@ def _lapack():
         raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dstebz, module.dstein
+    return module.dstebz, module.dstein, module.dgtsv
 
 
 def _indexed(diagonal, off_diagonal, low: int, high: int, vectors: bool):
     """Eigenvalues low..high of one block by bisection, and with
     ``vectors`` their unit vectors by inverse iteration, else None, from
     the LAPACK calls of scipy's ``eigh_tridiagonal(select="i")``."""
-    stebz, stein = _lapack()
+    stebz, stein, _ = _lapack()
     # block order when stein takes the eigenvalues, then ascending order
     found, energies, block, split, info = stebz(
         diagonal, off_diagonal, 2, 0.0, 1.0, low + 1, high + 1, 0.0, "B" if vectors else "E"
@@ -256,50 +266,72 @@ def _indexed(diagonal, off_diagonal, low: int, high: int, vectors: bool):
     return energies[order], vector[:, order]
 
 
-def _refined(diagonal, off_diagonal, low: int, centres):
+def _interpolated(vectors, size: int, parity: int) -> np.ndarray:
+    """Start vectors on the ``size`` nodes of a block of ``parity`` on a
+    grid of 2 N + 1 nodes, carried linearly from the block vectors of the
+    grid of N nodes before it.
+
+    Coarse node i is fine node 2 i, so the fine nodes of even index take
+    the coarse entries and the others the mean of their two neighbours,
+    with 0 at the wall and, past the last coarse node, the entry the
+    level's parity mirrors there: its own for the even block, 0 at the
+    centre for the odd block.  An even block's entry on the centre node is
+    1/sqrt(2) of the level's sample there, so a coarse one is scaled to
+    the sample before the means are taken, and the fine one after."""
+    # row g holds fine node g, so row 0 is the wall and row size + 1 the
+    # mirror; each column, one level's vector, is contiguous for gtsv
+    padded = np.empty((size + 2, vectors.shape[1]), order="F")
+    padded[0] = 0.0
+    padded[2 : size + 1 : 2] = vectors[: size // 2]
+    if size % 2:
+        padded[-1] = padded[-3] if parity == 0 else 0.0
+    elif parity == 0:  # the coarse even block ends on the centre node
+        padded[-2] *= math.sqrt(2.0)
+    means = padded[1 : size + 1 : 2]
+    np.add(padded[:size:2], padded[2 : size + 2 : 2], out=means)
+    means *= 0.5
+    if parity == 0:  # 2 N + 1 is odd, so the fine even block ends on the centre
+        padded[-2] /= math.sqrt(2.0)
+    return padded[1:-1]
+
+
+def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
     """Eigenvalues low, low + 1, ... of one block and their unit vectors,
-    from one inverse iteration at ``centres`` and the vectors' Rayleigh
-    quotients; None when the certificate of the module docstring fails."""
-    stebz, stein = _lapack()
+    from inverse iteration at ``centres`` and the vectors' Rayleigh
+    quotients, or None when the certificate of the module docstring fails.
+
+    Each step is one ``gtsv`` solve of (T - centre) y = u per column, from
+    the columns of ``initial``, which it overwrites, or from a ramp when it
+    is None.  ``steps`` holds the number of steps taken before each try of
+    the certificate; a failure of the last try returns None."""
+    stebz, _, gtsv = _lapack()
     magnitude = np.abs(off_diagonal)
     rows = np.abs(diagonal)
     rows[:-1] += magnitude
     rows[1:] += magnitude
     norm = rows.max()  # ||T||_inf, so -norm lies below every eigenvalue
-    # stein takes finite centres in ascending order
+    # finite centres in ascending order, as disc j must hold eigenvalue low + j
     if not (-norm < centres[0] and np.all(centres[:-1] < centres[1:]) and centres[-1] < norm):
         return None
-    size = diagonal.size
-    vector, info = stein(
-        diagonal, off_diagonal, centres, np.ones(size, np.int32), np.full(size, size, np.int32)
-    )
-    if info:
-        raise ConvergenceError(f"tridiagonal eigensolver failed: stein info {info}")
+    vector = initial
+    if vector is None:  # one column per centre
+        vector = np.tile(np.arange(1.0, diagonal.size + 1), (centres.size, 1)).T
+
+    def iterate(number):
+        for j, centre in enumerate(centres):
+            column, shifted = vector[:, j], diagonal - centre
+            for _ in range(number):
+                *_, column, info = gtsv(off_diagonal, shifted, off_diagonal, column)
+                if info:
+                    raise ConvergenceError(f"tridiagonal eigensolver failed: gtsv info {info}")
+                column /= np.linalg.norm(column)
+            vector[:, j] = column
 
     def times(diagonal, off_diagonal, columns):
         product = diagonal[:, None] * columns
         product[:-1] += off_diagonal[:, None] * columns[1:]
         product[1:] += off_diagonal[:, None] * columns[:-1]
         return product
-
-    sums = diagonal.copy()  # row sums of the block
-    sums[:-1] += off_diagonal
-    sums[1:] += off_diagonal
-    energies = sums @ vector**2 - off_diagonal @ np.diff(vector, axis=0) ** 2
-    eps = np.finfo(float).eps
-    radius = np.linalg.norm(times(diagonal, off_diagonal, vector) - energies * vector, axis=0)
-    radius += 4.0 * eps * (
-        np.linalg.norm(times(np.abs(diagonal), magnitude, np.abs(vector)), axis=0)
-        + np.abs(energies)
-    )
-    lower, upper = energies - radius, energies + radius
-    start, stop = energies[0] * (1.0 - 1e-3), energies[-1] * (1.0 + 1e-3)
-    if not (-norm < start < lower[0] and upper[-1] < stop and np.all(upper[:-1] < lower[1:])):
-        return None
-    # distance from each energy to the nearest other disc or fence
-    gap = np.minimum(energies - np.append(start, upper[:-1]), np.append(lower[1:], stop) - energies)
-    if np.any(radius * radius > eps * norm / 16.0 * gap):
-        return None
 
     def count(x):
         # an abstol above the interval's width stops after the endpoint counts
@@ -308,9 +340,38 @@ def _refined(diagonal, off_diagonal, low: int, centres):
             raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
         return found
 
-    if count(start) != low or count(stop) != low + energies.size:
-        return None
-    return energies, vector
+    sums = diagonal.copy()  # row sums of the block
+    sums[:-1] += off_diagonal
+    sums[1:] += off_diagonal
+    eps = np.finfo(float).eps
+
+    def certified():
+        energies = sums @ vector**2 - off_diagonal @ np.diff(vector, axis=0) ** 2
+        radius = np.linalg.norm(times(diagonal, off_diagonal, vector) - energies * vector, axis=0)
+        radius += 4.0 * eps * (
+            np.linalg.norm(times(np.abs(diagonal), magnitude, np.abs(vector)), axis=0)
+            + np.abs(energies)
+        )
+        lower, upper = energies - radius, energies + radius
+        start, stop = energies[0] * (1.0 - 1e-3), energies[-1] * (1.0 + 1e-3)
+        if not (-norm < start < lower[0] and upper[-1] < stop and np.all(upper[:-1] < lower[1:])):
+            return None
+        # distance from each energy to the nearest other disc or fence
+        gap = np.minimum(
+            energies - np.append(start, upper[:-1]), np.append(lower[1:], stop) - energies
+        )
+        if np.any(radius * radius > eps * norm / 16.0 * gap):
+            return None
+        if count(start) != low or count(stop) != low + energies.size:
+            return None
+        return energies, vector
+
+    for number in steps:
+        iterate(number)
+        solution = certified()
+        if solution is not None:
+            return solution
+    return None
 
 
 def _fd_levels(
@@ -320,18 +381,26 @@ def _fd_levels(
     last: int,
     vectors: bool = False,
     centres: np.ndarray | None = None,
+    seeds: tuple = (None, None),
 ) -> tuple:
     """Energies of levels ``first``..``last`` on one grid, solved per
-    parity block, and with ``vectors`` their exact -dE_h/dL, else None.
+    parity block, with ``vectors`` their exact -dE_h/dL, else None, and
+    per block the unit vectors of its wanted levels, or None for a block
+    solved without them.
 
     Level l is eigenvalue (l - 1) // 2 of block (l - 1) % 2, and a block
     with no wanted level is skipped.  A unit block eigenvector u gives the
     full-grid sum_i V_i psi_i^2 as ``values @ u**2``.  ``centres``, the
     predicted energies of the wanted levels, let each block take them from
     inverse iteration; a block they do not certify is solved by index.
+    ``seeds``, the block vectors this returned on the grid before, start
+    that iteration: one step, and one more for a block that fails its
+    certificate, for energies alone, and two for the pressures, which are
+    first order in the vector, against three from a ramp.
     """
     energies = np.empty(last - first + 1)
     pressures = np.empty_like(energies) if vectors else None
+    solved = [None, None]
     blocks = _parity_blocks(params, n_points, last)
     for parity, (values, diagonal, off_diagonal) in enumerate(blocks):
         low, high = (first - parity) // 2, (last - 1 - parity) // 2
@@ -340,13 +409,18 @@ def _fd_levels(
         wanted = slice(2 * low + parity + 1 - first, None, 2)
         solution = None
         if centres is not None:
-            solution = _refined(diagonal, off_diagonal, low, centres[wanted])
+            initial, steps = None, (3,)
+            if seeds[parity] is not None:
+                initial = _interpolated(seeds[parity], diagonal.size, parity)
+                steps = (2,) if vectors else (1, 1)
+            solution = _refined(diagonal, off_diagonal, low, centres[wanted], initial, steps)
         if solution is None:
             solution = _indexed(diagonal, off_diagonal, low, high, vectors)
         energies[wanted], vector = solution
+        solved[parity] = vector
         if vectors:
             pressures[wanted] = 2.0 * (energies[wanted] - values @ vector**2) / params.half_width
-    return energies, pressures
+    return energies, pressures, tuple(solved)
 
 
 def _centres(energies: list, exponent: float) -> np.ndarray | None:
@@ -401,10 +475,13 @@ def _richardson(columns: list, exponents: tuple) -> tuple:
 def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum:
     """Lowest eigenvalues of the discretized Hamiltonian, extrapolated."""
     exponents = _wall_exponents(params)
-    columns = []
+    columns, seeds = [], (None, None)
     for size in grid.grid_sequence():
         centres = _centres(columns, exponents[0])
-        columns.append(_fd_levels(params, size, 1, grid.level_count, centres=centres)[0])
+        energies, _, seeds = _fd_levels(
+            params, size, 1, grid.level_count, centres=centres, seeds=seeds
+        )
+        columns.append(energies)
     eigenvalues, estimates = _richardson(columns, exponents)
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
@@ -427,10 +504,12 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
     check_single_level(n)
     if use_eigenvalues:
         exponents = _wall_exponents(params)
-        energies, columns = [], []
+        energies, columns, seeds = [], [], (None, None)
         for size in _PRESSURE_GRID.grid_sequence():
             centres = _centres(energies, exponents[0])
-            energy, pressure = _fd_levels(params, size, n, n, vectors=True, centres=centres)
+            energy, pressure, seeds = _fd_levels(
+                params, size, n, n, vectors=True, centres=centres, seeds=seeds
+            )
             energies.append(energy)
             columns.append(pressure[0])
         return float(_richardson(columns, exponents)[0])

@@ -100,7 +100,10 @@ def check_level(n) -> np.ndarray:
 
 def check_single_level(n) -> None:
     """:func:`check_level` for the functions of one level: an int array
-    is rejected too."""
+    is rejected too.  A Python int in range is accepted before numpy's
+    dispatch on 0-d arrays, the most of this check's cost."""
+    if type(n) is int and 1 <= n < 2**64:
+        return
     if check_level(n).ndim:
         raise InvalidParameterError(f"expected a single quantum number, got {n!r}")
 

@@ -82,7 +82,7 @@ params = PTParameters(mass=1.0, well_depth=0.375, half_width=1.5707963267948966)
 energy, vector = scipy.linalg.eigh_tridiagonal(
     diagonal, off_diagonal, select="i", select_range=(0, 2)
 )
-energies, pressures = oracle._fd_levels(params, 64, 1, 5, vectors=True)
+energies, pressures, _ = oracle._fd_levels(params, 64, 1, 5, vectors=True)
 print(json.dumps([
     code,
     oracle._lapack()[0] is scipy.linalg.lapack.dstebz,

@@ -304,8 +304,8 @@ class TestParityFold:
             diagonal, off_diagonal, select="i", select_range=(first - 1, last - 1)
         )
         full = 2.0 * (energy - values @ vector**2) / params.half_width
-        energies, pressures = oracle._fd_levels(params, n_points, first, last, vectors=True)
-        alone, none = oracle._fd_levels(params, n_points, first, last)
+        energies, pressures, _ = oracle._fd_levels(params, n_points, first, last, vectors=True)
+        alone, none, _ = oracle._fd_levels(params, n_points, first, last)
         assert none is None
         assert np.array_equal(alone, energies)
         assert energies.shape == pressures.shape == (last - first + 1,)
@@ -353,7 +353,7 @@ class TestIndexSolve:
             expected[wanted] = energy
             expected_pressures[wanted] = 2.0 * (energy - values @ vector**2) / params.half_width
         assert np.array_equal(oracle._fd_levels(params, n_points, first, last)[0], alone)
-        energies, pressures = oracle._fd_levels(params, n_points, first, last, vectors=True)
+        energies, pressures, _ = oracle._fd_levels(params, n_points, first, last, vectors=True)
         assert np.array_equal(energies, expected)
         assert np.array_equal(pressures, expected_pressures)
 
@@ -365,29 +365,53 @@ def coarse_centres(params: PTParameters, n_points: int, first: int, last: int):
     return oracle._centres([energies], oracle._wall_exponents(params)[0])
 
 
+# The Hellmann-Feynman pressure is first order in the vector, so on the
+# 4000 -> 8001 step, the one numerical_pressure takes, the refined pressures
+# are held to the index solve's within 2 floor / L, as the energies are
+# within the floor; the measured worst is 0.26 of that bound (V0/T = 2e-3).
+# On the 64 -> 129 step they are 110 times the bound apart on the unit well.
+STEPS = [
+    pytest.param(well, 4000, 8001, id=f"4000-8001-{well}") for well in WELLS
+] + [
+    pytest.param(*well.values, 4000, 8001, id=f"4000-8001-{well.id}") for well in RATIO_WELLS
+] + [pytest.param(well, 64, 129, id=f"64-129-{well}") for well in WELLS]
+
+
 class TestBracketedSolve:
-    @pytest.mark.parametrize("well", WELLS)
-    @pytest.mark.parametrize("coarse, fine", [(4000, 8001), (64, 129)])
+    # From a ramp, and from the coarse grid's index-solve vectors, as
+    # numerical_pressure starts.
+    @pytest.mark.parametrize("well, coarse, fine", STEPS)
     @pytest.mark.parametrize("first, last", WINDOWS)
     def test_agrees_with_index_solve(self, request, well, coarse, fine, first, last):
-        params = request.getfixturevalue(well)
-        centres = coarse_centres(params, coarse, first, last)
-        energies, pressures = oracle._fd_levels(
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        coarse_energies, _, seeds = oracle._fd_levels(params, coarse, first, last, vectors=True)
+        centres = oracle._centres([coarse_energies], oracle._wall_exponents(params)[0])
+        energies, pressures, _ = oracle._fd_levels(
             params, fine, first, last, vectors=True, centres=centres
         )
         alone = oracle._fd_levels(params, fine, first, last, centres=centres)[0]
-        expected, expected_pressures = oracle._fd_levels(params, fine, first, last, vectors=True)
+        seeded = oracle._fd_levels(
+            params, fine, first, last, vectors=True, centres=centres, seeds=seeds
+        )
+        expected, expected_pressures, _ = oracle._fd_levels(
+            params, fine, first, last, vectors=True
+        )
         floor = max(bisection_floor(*block[1:]) for block in oracle._parity_blocks(params, fine, 1))
         assert np.array_equal(alone, energies)
-        assert np.max(np.abs(energies - expected)) <= floor
-        np.testing.assert_allclose(pressures, expected_pressures, rtol=1e-6)
+        for energies, pressures, _ in [(energies, pressures, None), seeded]:
+            assert np.max(np.abs(energies - expected)) <= floor
+            if coarse == 4000:
+                bound = 2.0 * floor / params.half_width
+                assert np.max(np.abs(pressures - expected_pressures)) <= bound
+            else:
+                np.testing.assert_allclose(pressures, expected_pressures, rtol=1e-6)
 
     # After the first grid every block certifies, so no index solve runs on
     # the 4000 -> 8001 and 8001 -> 16003 steps of the eigensolve or on the
     # 4000 -> 8001 step of the pressure.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
-        stebz, stein = oracle._lapack()
+        stebz, stein, gtsv = oracle._lapack()
         sizes = []
 
         def recording_stebz(diagonal, off_diagonal, mode, *args):
@@ -396,12 +420,47 @@ class TestBracketedSolve:
             return stebz(diagonal, off_diagonal, mode, *args)
 
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein))
+        monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
         for n in range(1, 6):
             numerical_pressure(params, n, use_eigenvalues=True)
         # the blocks of the first grid, N = 4000, have 2000 nodes
         assert set(sizes) == {2000}
+
+    # Each refined level takes one gtsv solve per step of inverse iteration:
+    # three from a ramp on the eigensolve's N = 8001 grid, whose first grid
+    # is solved for energies alone; one from the N = 8001 vectors on its
+    # N = 16003 grid; two from the first grid's index-solve vectors on the
+    # pressure's N = 8001 grid, as the pressure is first order in the
+    # vector.  stein runs only in the index solve of a first grid that needs
+    # vectors, the pressure's N = 4000 grid.
+    @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
+    def test_solves_per_level(self, request, well, monkeypatch):
+        stebz, stein, gtsv = oracle._lapack()
+        calls = []
+
+        def recording_stein(diagonal, *args):
+            calls.append(("stein", diagonal.size))
+            return stein(diagonal, *args)
+
+        def recording_gtsv(lower, diagonal, *args):
+            calls.append(("gtsv", diagonal.size))
+            return gtsv(lower, diagonal, *args)
+
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        monkeypatch.setattr(oracle, "_lapack", lambda: (stebz, recording_stein, recording_gtsv))
+        solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
+        # five levels in each block of N = 8001 (4001 and 4000 nodes) and of
+        # N = 16003 (8002 and 8001 nodes)
+        assert calls == (
+            [("gtsv", 4001)] * 15 + [("gtsv", 4000)] * 15
+            + [("gtsv", 8002)] * 5 + [("gtsv", 8001)] * 5
+        )
+        for n in range(1, 6):
+            calls.clear()
+            numerical_pressure(params, n, use_eigenvalues=True)
+            block = 4001 if n % 2 else 4000
+            assert calls == [("stein", 2000), ("gtsv", block), ("gtsv", block)]
 
     # Centres on the next level of the block, scaled by 1.3, or NaN in each
     # block fail certification, and the index solve's bits come back.
@@ -417,10 +476,12 @@ class TestBracketedSolve:
         elif wrong == "nan":
             centres[:2] = np.nan
         centres = oracle._centres([centres], oracle._wall_exponents(params)[0])
-        energies, pressures = oracle._fd_levels(
+        energies, pressures, _ = oracle._fd_levels(
             params, 8001, first, last, vectors=True, centres=centres
         )
-        expected, expected_pressures = oracle._fd_levels(params, 8001, first, last, vectors=True)
+        expected, expected_pressures, _ = oracle._fd_levels(
+            params, 8001, first, last, vectors=True
+        )
         assert np.array_equal(energies, expected)
         assert np.array_equal(pressures, expected_pressures)
 
@@ -434,38 +495,41 @@ class TestBracketedSolve:
         exact = oracle._fd_levels(params, 8001, 1, 7)[0]
         centres = exact[2:5].copy()
         centres[0 if skipped == "lower" else 2] = exact[level - 1]
-        energies, pressures = oracle._fd_levels(params, 8001, 3, 5, vectors=True, centres=centres)
-        expected, expected_pressures = oracle._fd_levels(params, 8001, 3, 5, vectors=True)
+        energies, pressures, _ = oracle._fd_levels(
+            params, 8001, 3, 5, vectors=True, centres=centres
+        )
+        expected, expected_pressures, _ = oracle._fd_levels(params, 8001, 3, 5, vectors=True)
         assert np.array_equal(energies[::2], expected[::2])
         assert np.array_equal(pressures[::2], expected_pressures[::2])
 
-    # Both centres of the even block on level 1: inverse iteration
-    # orthogonalizes the second vector against the first, so it only partly
-    # turns to level 3, and its disc reaches past the upper fence.
+    # Both centres of the even block on level 1: inverse iteration takes
+    # each column alone, so both turn to level 1, and their discs overlap.
     @pytest.mark.parametrize("well", WELLS)
     def test_two_centres_on_one_level_fall_back(self, request, well):
         params = request.getfixturevalue(well)
-        expected, expected_pressures = oracle._fd_levels(params, 8001, 1, 3, vectors=True)
+        expected, expected_pressures, _ = oracle._fd_levels(params, 8001, 1, 3, vectors=True)
         centres = expected.copy()
         centres[2] = expected[0] * (1.0 + 1e-9)
-        energies, pressures = oracle._fd_levels(params, 8001, 1, 3, vectors=True, centres=centres)
+        energies, pressures, _ = oracle._fd_levels(
+            params, 8001, 1, 3, vectors=True, centres=centres
+        )
         assert np.array_equal(energies[::2], expected[::2])
         assert np.array_equal(pressures[::2], expected_pressures[::2])
 
-    # On the 64 -> 129 step, with centres up to 1.6 % (unit well) and 5.9 %
-    # (wide well) off, these windows pass the discs and the counts, but
-    # inverse iteration has only partly converged: the Rayleigh quotients
-    # are up to 1.3e-6 off (unit well) and 2.4e-7 relative (wide well,
-    # level 5).  The Temple bound rejects them, and the index solve's bits
-    # come back.
-    @pytest.mark.parametrize("well, first, last", [("unit_well", 1, 10), ("wide_well", 5, 5)])
+    # On the 64 -> 129 step, with centres up to 1.6 % (unit well) and 3.1 %
+    # (wide well, level 3) off, these windows pass the discs and the counts,
+    # but three steps of inverse iteration from a ramp have only partly
+    # converged: the Rayleigh quotients are up to 7.5e-9 (unit well) and
+    # 9.4e-9 (wide well) relative off.  The Temple bound rejects them, and
+    # the index solve's bits come back.
+    @pytest.mark.parametrize("well, first, last", [("unit_well", 1, 10), ("wide_well", 3, 3)])
     def test_temple_bound_rejects_unconverged_vectors(self, request, well, first, last):
         params = request.getfixturevalue(well)
         centres = coarse_centres(params, 64, first, last)
-        energies, pressures = oracle._fd_levels(
+        energies, pressures, _ = oracle._fd_levels(
             params, 129, first, last, vectors=True, centres=centres
         )
-        expected, expected_pressures = oracle._fd_levels(params, 129, first, last, vectors=True)
+        expected, expected_pressures, _ = oracle._fd_levels(params, 129, first, last, vectors=True)
         assert np.array_equal(energies, expected)
         assert np.array_equal(pressures, expected_pressures)
         temple = []
@@ -479,19 +543,20 @@ class TestBracketedSolve:
 
 
 def dense_certificate(diagonal, off_diagonal, low: int, centres) -> float:
-    """Check, on the dense matrix of one block, that the vectors of inverse
-    iteration at ``centres`` give disjoint discs inside the fences and the
-    right eigenvalue counts, and return the largest Temple bound
+    """Check, on the dense matrix of one block, that the vectors of three
+    steps of inverse iteration at ``centres`` from a ramp, the steps of a
+    refined solve without seeds, give disjoint discs inside the fences and
+    the right eigenvalue counts, and return the largest Temple bound
     rho^2 / delta in units of eps ||T||_inf / 16."""
-    from scipy.linalg import get_lapack_funcs
-
-    (stein,) = get_lapack_funcs(("stein",), (diagonal,))
     size = diagonal.size
-    vector, info = stein(
-        diagonal, off_diagonal, centres, np.ones(size, np.int32), np.full(size, size, np.int32)
-    )
-    assert info == 0
     matrix = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+    vector = np.empty((size, centres.size))
+    for j, centre in enumerate(centres):
+        column = np.arange(1.0, size + 1)
+        for _ in range(3):
+            column = np.linalg.solve(matrix - centre * np.eye(size), column)
+            column /= np.linalg.norm(column)
+        vector[:, j] = column
     energies = np.einsum("ij,ij->j", vector, matrix @ vector)
     eps = np.finfo(float).eps
     radius = np.linalg.norm(matrix @ vector - energies * vector, axis=0) + 4.0 * eps * (
@@ -511,25 +576,26 @@ def fail_lapack_routine(monkeypatch, name: str, above: int = 0) -> None:
     """Make the oracle's LAPACK routine ``name`` report info = 1 at its
     first call on a block of more than ``above`` nodes, so a solve that
     retried the block another way would succeed."""
-    routines = dict(zip(("stebz", "stein"), oracle._lapack()))
+    routines = dict(zip(("stebz", "stein", "gtsv"), oracle._lapack()))
     routine = routines[name]
     failed = []
 
-    def failing(diagonal, *args):
-        result = routine(diagonal, *args)
-        if failed or diagonal.size <= above:
+    def failing(*args):
+        result = routine(*args)
+        size = args[1 if name == "gtsv" else 0].size  # gtsv takes the diagonal second
+        if failed or size <= above:
             return result
-        failed.append(diagonal.size)
+        failed.append(size)
         return (*result[:-1], 1)
 
     routines[name] = failing
-    monkeypatch.setattr(oracle, "_lapack", lambda: (routines["stebz"], routines["stein"]))
+    monkeypatch.setattr(oracle, "_lapack", lambda: tuple(routines.values()))
 
 
 class TestBracketedSolverFailure:
     # The blocks of the first grid, N = 4000, have 2000 nodes, so its index
     # solve runs and the routine fails in the refined solve of N = 8001.
-    @pytest.mark.parametrize("routine", ["stebz", "stein"])
+    @pytest.mark.parametrize("routine", ["stebz", "gtsv"])
     def test_pressure_is_convergence_error(self, unit_well, monkeypatch, routine):
         fail_lapack_routine(monkeypatch, routine, above=2000)
         with pytest.raises(ConvergenceError, match=f"eigensolver failed: {routine}"):
@@ -633,9 +699,9 @@ class TestNonFiniteResult:
     # through the same routine.
     @pytest.fixture(autouse=True)
     def nan_solver(self, monkeypatch):
-        def solve(params, n_points, first, last, vectors=False, centres=None):
+        def solve(params, n_points, first, last, vectors=False, centres=None, seeds=None):
             nan = np.full(last - first + 1, np.nan)
-            return nan, (nan.copy() if vectors else None)
+            return nan, (nan.copy() if vectors else None), (None, None)
 
         monkeypatch.setattr(oracle, "_fd_levels", solve)
 

@@ -22,6 +22,7 @@ from ptoscillator import (
     qc_energy_numeric,
     solve_eigenvalues,
 )
+from ptoscillator.parameters import check_single_level
 
 mp.mp.dps = 50
 
@@ -286,3 +287,31 @@ class TestSingleLevelCheck:
     def test_array_level_is_invalid_parameter(self, unit_well, one_level):
         with pytest.raises(InvalidParameterError):
             one_level(unit_well, np.array([1, 2]))
+
+    # A Python int in [1, 2**64) is accepted before numpy; every other
+    # value keeps the outcome and message of the numpy path.
+    @pytest.mark.parametrize(
+        "n", [1, 2**64 - 1, np.int64(3), np.array(2)], ids=["1", "2**64-1", "int64", "0-d"]
+    )
+    def test_single_level_accepted(self, n):
+        assert check_single_level(n) is None
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (2**64, "integer in"),
+            (0, "integer in"),
+            (-1, "integer in"),
+            (True, "integer in"),
+            (False, "integer in"),
+            (1.5, "integer in"),
+            (3.0, "integer in"),
+            (np.array([1]), "single quantum number"),
+            ("3", "integer in"),
+            (None, "integer in"),
+        ],
+        ids=["2**64", "0", "-1", "True", "False", "1.5", "3.0", "array", "str", "None"],
+    )
+    def test_non_single_level_rejected(self, n, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            check_single_level(n)
