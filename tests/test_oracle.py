@@ -429,6 +429,26 @@ class TestBracketedSolve:
         # the blocks of the first grid, N = 4000, have 2000 nodes
         assert set(sizes) == {2000}
 
+    # The coarse grid's vectors carried onto the finer grid are second order
+    # approximations of its vectors: their distance falls by about 4 (3.6 to
+    # 4.5 measured) when the coarse grid doubles, from an even N and from an
+    # odd one, whose even block holds the centre node.
+    @pytest.mark.parametrize("well", WELLS)
+    @pytest.mark.parametrize("coarse", [64, 65])
+    def test_interpolated_vectors_are_second_order(self, request, well, coarse):
+        params = request.getfixturevalue(well)
+        distances = []
+        for size in (coarse, 2 * coarse - 1 if coarse % 2 else 2 * coarse):
+            seeds = oracle._fd_levels(params, size, 1, 6, vectors=True)[2]
+            fine = oracle._fd_levels(params, 2 * size + 1, 1, 6, vectors=True)[2]
+            for parity in (0, 1):
+                start = oracle._interpolated(seeds[parity], fine[parity].shape[0], parity)
+                start *= np.sign(np.sum(start * fine[parity], axis=0))
+                start /= np.linalg.norm(start, axis=0)
+                distances.append(np.linalg.norm(start - fine[parity], axis=0))
+        assert np.all(distances[0] / distances[2] > 3.0)
+        assert np.all(distances[1] / distances[3] > 3.0)
+
     # Each refined level takes one gtsv solve per step of inverse iteration:
     # three from a ramp on the eigensolve's N = 8001 grid, whose first grid
     # is solved for energies alone; one from the N = 8001 vectors on its
