@@ -28,27 +28,33 @@ alternate in parity, starting with even (Cantoni & Butler, Linear
 Algebra Appl. 13, 275 (1976)), so level n is the ((n - 1) // 2)-th
 eigenvalue of the even block for odd n and of the odd block for even n.
 
-The first grid is solved by index, bisecting from the Gershgorin
-interval of each block (``stebz``, absolute tolerance eps ||T||, and
-``stein`` for the vectors, the calls of scipy's ``eigh_tridiagonal``).
-Each later grid already has every level placed to about 1e-5 relative by
-the grids before it: at the coarser energy on the second grid, and on
-the third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  A
-unit vector u of each wanted level is taken by inverse iteration at its
-centre, each step one ``gtsv`` solve, LU with partial pivoting, of the
-shifted block.  From a start close to the level's vector, at a shift this
-close to its eigenvalue, one step suffices (Ipsen, SIAM Rev. 39, 254
-(1997)).  A grid solved with vectors, by index or refined, hands them to
-the next, whose nodes hold the coarse ones at every other node: they are
-O(h^2) approximations of the finer vectors and, interpolated linearly
-onto the finer nodes, start its iteration.  From them a block takes one
-step for energies alone, and one more when its certificate below fails,
-or two for the Hellmann-Feynman pressure, which is first order in the
-vector; without them, as on the second grid of ``solve_eigenvalues``,
-whose first is solved for energies alone, it takes three from a fixed
-ramp.  The level's energy is the vector's Rayleigh quotient, whose error
-is second order in the vector's (Parlett, The Symmetric Eigenvalue
-Problem, SIAM 1998, ch. 4 and 10), summed as
+A grid whose levels nothing places is solved by index, bisecting from
+the Gershgorin interval of each block (``stebz``, absolute tolerance
+eps ||T||, and ``stein`` for the vectors, the calls of scipy's
+``eigh_tridiagonal``).  ``solve_eigenvalues`` and the Hellmann-Feynman
+pressure below first solve so, for energies alone, a pilot grid of a
+quarter of the first grid's nodes when it has at least 1000, which
+places the first grid's levels to 1e-4 to 6e-3 relative.  Each later
+grid has them placed to about 1e-5 relative by the grids before it: at
+the coarser energy on the second grid, and on the third at
+c2 + (c2 - c1) / 2^p, p the leading exponent below; but a first grid of
+fewer than 300 nodes places none, as about half of the blocks it would
+place fail the certificate below.  A unit vector u of each placed level
+is taken by inverse iteration at its centre, each step one ``gtsv``
+solve, LU with partial pivoting, of the shifted block.  From a start
+close to the level's vector, at a shift this close to its eigenvalue,
+one step suffices (Ipsen, SIAM Rev. 39, 254 (1997)).  A grid solved with
+vectors, by index or refined, hands them to the next, whose nodes hold
+the coarse ones at every other node: they are O(h^2) approximations of
+the finer vectors and, interpolated linearly onto the finer nodes, start
+its iteration.  From them a block takes one step for energies alone, and
+one more when its certificate below fails, or two for the
+Hellmann-Feynman pressure, which is first order in the vector; without
+them, as on the grid after the pilot, or after a grid solved by index
+for energies alone, it takes three from a fixed ramp.  The level's
+energy is the vector's Rayleigh quotient, whose error is second order in
+the vector's (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+ch. 4 and 10), summed as
 
     theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
 
@@ -71,10 +77,10 @@ eps ||T||_inf / 16: no accepted energy is looser than a bisection to
 that tolerance.  count(x), the number of eigenvalues at or below x, is
 ``stebz`` in value mode on (-||T||_inf, x] with an absolute tolerance
 above that width, which stops after its endpoint Sturm counts.  A block
-that fails any check is solved by index, as on the first grid.
-``solve_eigenvalues`` and the Hellmann-Feynman pressure below refine
-their later grids this way; ``convergence_study`` solves every grid by
-index.
+that fails any check is solved by index, as both blocks of the first
+grid of a 10-level eigensolve from N = 4000 are at V0 / T >= 1e6, where
+the pilot places the levels 6e-3 off.  ``convergence_study`` solves every
+grid by index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
 leading error terms: h^2 and h^4, or, for 0 < V0 / T < 3/4, the wall term
@@ -121,6 +127,14 @@ __all__ = [
 MAX_GRID_POINTS = 262_144
 
 _MIN_GRID_POINTS = 64
+# the fewest nodes of a pilot grid, whose energies centre the inverse
+# iteration of a first grid four times finer: from pilots of 500 nodes or
+# fewer, a fifth or more of those blocks fail their certificate
+_MIN_CENTRE_POINTS = 1000
+# the fewest nodes of a first grid from which the later grids are refined:
+# below it, about half of their blocks fail their certificate, and solving
+# every grid by index is as fast
+_MIN_REFINING_POINTS = 300
 # relative step in L of the closed-form branch of numerical_pressure
 _DIFFERENCE_STEP = 1e-4
 
@@ -327,10 +341,10 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
                 column /= np.linalg.norm(column)
             vector[:, j] = column
 
-    def times(diagonal, off_diagonal, columns):
-        product = diagonal[:, None] * columns
-        product[:-1] += off_diagonal[:, None] * columns[1:]
-        product[1:] += off_diagonal[:, None] * columns[:-1]
+    def times(diagonal, off_diagonal, column):
+        product = diagonal * column
+        product[:-1] += off_diagonal * column[1:]
+        product[1:] += off_diagonal * column[:-1]
         return product
 
     def count(x):
@@ -343,15 +357,20 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
     sums = diagonal.copy()  # row sums of the block
     sums[:-1] += off_diagonal
     sums[1:] += off_diagonal
+    absolute = np.abs(diagonal)
     eps = np.finfo(float).eps
 
     def certified():
-        energies = sums @ vector**2 - off_diagonal @ np.diff(vector, axis=0) ** 2
-        radius = np.linalg.norm(times(diagonal, off_diagonal, vector) - energies * vector, axis=0)
-        radius += 4.0 * eps * (
-            np.linalg.norm(times(np.abs(diagonal), magnitude, np.abs(vector)), axis=0)
-            + np.abs(energies)
-        )
+        # one contiguous column at a time, so that no temporary spans the block
+        energies, radius = np.empty(centres.size), np.empty(centres.size)
+        for j, column in enumerate(vector.T):
+            energies[j] = sums @ (column * column) - off_diagonal @ np.square(np.diff(column))
+            residual = times(diagonal, off_diagonal, column)
+            residual -= energies[j] * column
+            rounding = times(absolute, magnitude, np.abs(column))
+            radius[j] = np.linalg.norm(residual) + 4.0 * eps * (
+                np.linalg.norm(rounding) + abs(energies[j])
+            )
         lower, upper = energies - radius, energies + radius
         start, stop = energies[0] * (1.0 - 1e-3), energies[-1] * (1.0 + 1e-3)
         if not (-norm < start < lower[0] and upper[-1] < stop and np.all(upper[:-1] < lower[1:])):
@@ -423,16 +442,39 @@ def _fd_levels(
     return energies, pressures, tuple(solved)
 
 
-def _centres(energies: list, exponent: float) -> np.ndarray | None:
+def _centres(energies: list, exponent: float) -> np.ndarray:
     """Predicted energies of the levels on the next grid, from their
-    energies on the grids before it, or None for the first grid: the one
-    coarser energy, else the last plus the step to the next grid predicted
-    from the last two, h^``exponent`` with h halving."""
-    if not energies:
-        return None
+    energies on the grids before it: the one coarser energy, else the last
+    plus the step to the next grid predicted from the last two,
+    h^``exponent`` with h halving."""
     if len(energies) == 1:
         return energies[0]
     return energies[-1] + (energies[-1] - energies[-2]) / 2.0**exponent
+
+
+def _grid_levels(
+    params: PTParameters, sizes: tuple, first: int, last: int, vectors: bool
+) -> tuple:
+    """Energies, and with ``vectors`` pressures, else None, of levels
+    ``first``..``last`` on each grid of ``sizes``, coarse first.
+
+    The first grid takes its centres from a pilot grid of a quarter of its
+    nodes, solved by index for energies alone, when the pilot has at least
+    ``_MIN_CENTRE_POINTS`` nodes, and each later grid from the grids before
+    it when the first has at least ``_MIN_REFINING_POINTS``; a grid without
+    centres is solved by index."""
+    exponent = _wall_exponents(params)[0]
+    energies, pressures, seeds = [], [], (None, None)
+    centres = None
+    if sizes[0] // 4 >= _MIN_CENTRE_POINTS:
+        centres = _fd_levels(params, sizes[0] // 4, first, last)[0]
+    for size in sizes:
+        energy, pressure, seeds = _fd_levels(params, size, first, last, vectors, centres, seeds)
+        energies.append(energy)
+        pressures.append(pressure)
+        if sizes[0] >= _MIN_REFINING_POINTS:
+            centres = _centres(energies, exponent)
+    return energies, pressures
 
 
 def _wall_exponents(params: PTParameters) -> tuple:
@@ -474,15 +516,8 @@ def _richardson(columns: list, exponents: tuple) -> tuple:
 
 def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum:
     """Lowest eigenvalues of the discretized Hamiltonian, extrapolated."""
-    exponents = _wall_exponents(params)
-    columns, seeds = [], (None, None)
-    for size in grid.grid_sequence():
-        centres = _centres(columns, exponents[0])
-        energies, _, seeds = _fd_levels(
-            params, size, 1, grid.level_count, centres=centres, seeds=seeds
-        )
-        columns.append(energies)
-    eigenvalues, estimates = _richardson(columns, exponents)
+    columns = _grid_levels(params, grid.grid_sequence(), 1, grid.level_count, False)[0]
+    eigenvalues, estimates = _richardson(columns, _wall_exponents(params))
     if np.any(eigenvalues <= 0.0) or np.any(np.diff(eigenvalues) <= 0.0):
         raise ConvergenceError(
             "extrapolated eigenvalues are not strictly increasing and positive; "
@@ -503,16 +538,9 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
     """
     check_single_level(n)
     if use_eigenvalues:
-        exponents = _wall_exponents(params)
-        energies, columns, seeds = [], [], (None, None)
-        for size in _PRESSURE_GRID.grid_sequence():
-            centres = _centres(energies, exponents[0])
-            energy, pressure, seeds = _fd_levels(
-                params, size, n, n, vectors=True, centres=centres, seeds=seeds
-            )
-            energies.append(energy)
-            columns.append(pressure[0])
-        return float(_richardson(columns, exponents)[0])
+        pressures = _grid_levels(params, _PRESSURE_GRID.grid_sequence(), n, n, True)[1]
+        columns = [pressure[0] for pressure in pressures]
+        return float(_richardson(columns, _wall_exponents(params))[0])
 
     length = params.half_width
 

@@ -114,6 +114,20 @@ class TestSolveEigenvalues:
         expected = closed_energies(params, 10)
         assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= bound
 
+    # The first grid refined from the pilot grid's energies carries no
+    # bisection floor: the measured worst is 1.9e-12 (wide) and 8.5e-13
+    # (V0 = 1e4), against 4.7e-11 and 3.7e-10 with the first grid bisected.
+    @pytest.mark.parametrize(
+        "well",
+        ["wide_well", PTParameters(mass=1.0, well_depth=1e4, half_width=math.pi / 2)],
+        ids=["wide", "V0=1e4"],
+    )
+    def test_pilot_centred_accuracy(self, request, well):
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        spectrum = solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
+        expected = closed_energies(params, 10)
+        assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-11
+
     def test_wall_exponent_rule(self, request):
         # the oracle solves the indicial equation itself; 2 s - 1 = 1 + lambda
         for well in ("unit_well", "wide_well", "box"):
@@ -408,9 +422,11 @@ class TestBracketedSolve:
             else:
                 np.testing.assert_allclose(pressures, expected_pressures, rtol=1e-6)
 
-    # After the first grid every block certifies, so no index solve runs on
-    # the 4000 -> 8001 and 8001 -> 16003 steps of the eigensolve or on the
-    # 4000 -> 8001 step of the pressure.
+    # Only the pilot grid, N = 1000 with blocks of 500 nodes, is solved by
+    # index: every block of the first grid, N = 4000, certifies from the
+    # pilot's energies, and every later block from the grids before it.  On
+    # the deepest well, V0 / T = 1e6, both blocks of the eigensolve's first
+    # grid fail their certificate and are solved by index.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
@@ -424,10 +440,12 @@ class TestBracketedSolve:
         params = request.getfixturevalue(well) if isinstance(well, str) else well
         monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
+        fallbacks = [2000, 2000] if params.well_depth >= 5e5 else []
+        assert sizes == [500, 500] + fallbacks
         for n in range(1, 6):
+            sizes.clear()
             numerical_pressure(params, n, use_eigenvalues=True)
-        # the blocks of the first grid, N = 4000, have 2000 nodes
-        assert set(sizes) == {2000}
+            assert sizes == [500]
 
     # The coarse grid's vectors carried onto the finer grid are second order
     # approximations of its vectors: their distance falls by about 4 (3.6 to
@@ -450,12 +468,14 @@ class TestBracketedSolve:
         assert np.all(distances[1] / distances[3] > 3.0)
 
     # Each refined level takes one gtsv solve per step of inverse iteration:
-    # three from a ramp on the eigensolve's N = 8001 grid, whose first grid
-    # is solved for energies alone; one from the N = 8001 vectors on its
-    # N = 16003 grid; two from the first grid's index-solve vectors on the
-    # pressure's N = 8001 grid, as the pressure is first order in the
-    # vector.  stein runs only in the index solve of a first grid that needs
-    # vectors, the pressure's N = 4000 grid.
+    # three from a ramp on the first grid, N = 4000, centred by the pilot
+    # grid's energies; one from the N = 4000 vectors on the eigensolve's
+    # N = 8001 grid and one from those on its N = 16003 grid; two from the
+    # N = 4000 vectors on the pressure's N = 8001 grid, as the pressure is
+    # first order in the vector.  On the deepest well, V0 / T = 1e6, the
+    # eigensolve's first grid falls back to the index solve for energies
+    # alone, so its N = 8001 grid takes three steps from a ramp.  stein,
+    # which runs only in an index solve with vectors, is never called.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_solves_per_level(self, request, well, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
@@ -472,17 +492,36 @@ class TestBracketedSolve:
         params = request.getfixturevalue(well) if isinstance(well, str) else well
         monkeypatch.setattr(oracle, "_lapack", lambda: (stebz, recording_stein, recording_gtsv))
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
-        # five levels in each block of N = 8001 (4001 and 4000 nodes) and of
-        # N = 16003 (8002 and 8001 nodes)
+        # five levels in each block of N = 4000 (2000 and 2000 nodes), of
+        # N = 8001 (4001 and 4000 nodes) and of N = 16003 (8002 and 8001 nodes)
+        steps = 3 if params.well_depth >= 5e5 else 1
         assert calls == (
-            [("gtsv", 4001)] * 15 + [("gtsv", 4000)] * 15
+            [("gtsv", 2000)] * 30
+            + [("gtsv", 4001)] * 5 * steps + [("gtsv", 4000)] * 5 * steps
             + [("gtsv", 8002)] * 5 + [("gtsv", 8001)] * 5
         )
         for n in range(1, 6):
             calls.clear()
             numerical_pressure(params, n, use_eigenvalues=True)
             block = 4001 if n % 2 else 4000
-            assert calls == [("stein", 2000), ("gtsv", block), ("gtsv", block)]
+            assert calls == [("gtsv", 2000)] * 3 + [("gtsv", block)] * 2
+
+    # A first grid under _MIN_REFINING_POINTS nodes centres no later grid,
+    # and one under four times _MIN_CENTRE_POINTS takes no pilot, so every
+    # grid is solved by index with no attempt at inverse iteration; from
+    # N = 300 on, the later grids are refined.
+    @pytest.mark.parametrize("n_points", [64, 128, 256, 299, 300])
+    def test_small_first_grids_are_solved_by_index(self, unit_well, n_points, monkeypatch):
+        stebz, stein, gtsv = oracle._lapack()
+        calls = []
+
+        def recording_gtsv(*args):
+            calls.append("gtsv")
+            return gtsv(*args)
+
+        monkeypatch.setattr(oracle, "_lapack", lambda: (stebz, stein, recording_gtsv))
+        solve_eigenvalues(unit_well, GridSpec(n_points, richardson_levels=3, level_count=10))
+        assert bool(calls) == (n_points >= 300)
 
     # Centres on the next level of the block, scaled by 1.3, or NaN in each
     # block fail certification, and the index solve's bits come back.
@@ -615,8 +654,9 @@ def fail_lapack_routine(monkeypatch, name: str, above: int = 0) -> None:
 
 
 class TestBracketedSolverFailure:
-    # The blocks of the first grid, N = 4000, have 2000 nodes, so its index
-    # solve runs and the routine fails in the refined solve of N = 8001.
+    # The blocks of the pilot and first grids, N = 1000 and 4000, have at
+    # most 2000 nodes, so they are solved and the routine fails in the
+    # refined solve of N = 8001.
     @pytest.mark.parametrize("routine", ["stebz", "gtsv"])
     def test_pressure_is_convergence_error(self, unit_well, monkeypatch, routine):
         fail_lapack_routine(monkeypatch, routine, above=2000)
@@ -700,7 +740,8 @@ class TestNonFiniteHamiltonian:
 
 
 class TestEigensolverFailure:
-    # the index solve of the first grid reports info = 1
+    # the first index solve, of the first grid or of the pilot grid before
+    # it, reports info = 1
     @pytest.fixture(autouse=True)
     def failing_eigensolver(self, monkeypatch):
         fail_lapack_routine(monkeypatch, "stebz")
