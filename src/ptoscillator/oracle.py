@@ -319,8 +319,8 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
     is None.  ``steps`` holds the number of steps taken before each try of
     the certificate; a failure of the last try returns None."""
     stebz, _, gtsv = _lapack()
-    magnitude = np.abs(off_diagonal)
-    rows = np.abs(diagonal)
+    magnitude, absolute = np.abs(off_diagonal), np.abs(diagonal)
+    rows = absolute.copy()
     rows[:-1] += magnitude
     rows[1:] += magnitude
     norm = rows.max()  # ||T||_inf, so -norm lies below every eigenvalue
@@ -357,7 +357,6 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
     sums = diagonal.copy()  # row sums of the block
     sums[:-1] += off_diagonal
     sums[1:] += off_diagonal
-    absolute = np.abs(diagonal)
     eps = np.finfo(float).eps
 
     def certified():
