@@ -33,23 +33,20 @@ the Gershgorin interval of each block (``stebz``, absolute tolerance
 eps ||T||, and ``stein`` for the vectors, the calls of scipy's
 ``eigh_tridiagonal``).  ``solve_eigenvalues`` and the Hellmann-Feynman
 pressure below first solve so, for energies alone, a pilot grid of a
-quarter of the first grid's nodes when it has at least 1000, which
-places the first grid's levels to 1e-4 to 6e-3 relative.  Each later
-grid has them placed to about 1e-5 relative by the grids before it: at
-the coarser energy on the second grid, and on the third at
-c2 + (c2 - c1) / 2^p, p the leading exponent below; but a first grid of
-fewer than 300 nodes places none, as about half of the blocks it would
-place fail the certificate below.  A unit vector u of each placed level
-is taken by inverse iteration at its centre, each step one ``gtsv``
-solve, LU with partial pivoting, of the shifted block.  From a start
-close to the level's vector, at a shift this close to its eigenvalue,
-one step suffices (Ipsen, SIAM Rev. 39, 254 (1997)).  A grid solved with
-vectors, by index or refined, hands them to the next, whose nodes hold
-the coarse ones at every other node: they are O(h^2) approximations of
-the finer vectors and, interpolated linearly onto the finer nodes, start
-its iteration.  From them a block takes one step for energies alone, and
-one more when its certificate below fails, or two for the
-Hellmann-Feynman pressure, which is first order in the vector; without
+quarter of the first grid's nodes when it has at least 1000 and holds
+the wanted levels, which places the first grid's levels to 1e-4 to 6e-3
+relative.  Each later grid has them placed to about 1e-5 relative by the
+grids before it: at the coarser energy on the second grid, and on the
+third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  A unit
+vector u of each placed level is taken by inverse iteration at its
+centre, each step one ``gtsv`` solve, LU with partial pivoting, of the
+shifted block.  From a start close to the level's vector, at a shift
+this close to its eigenvalue, one step suffices (Ipsen, SIAM Rev. 39,
+254 (1997)).  A grid solved with vectors, by index or refined, hands
+them to the next, whose nodes hold the coarse ones at every other node:
+they are O(h^2) approximations of the finer vectors and, interpolated
+linearly onto the finer nodes, start its iteration.  From them a block
+takes one step, and one more when its certificate below fails; without
 them, as on the grid after the pilot, or after a grid solved by index
 for energies alone, it takes three from a fixed ramp.  The level's
 energy is the vector's Rayleigh quotient, whose error is second order in
@@ -74,13 +71,16 @@ and count(b) one past its last, so that disc j holds eigenvalue low + j,
 and the Kato-Temple bound rho^2 / delta of every level, delta the
 distance from theta to the nearest other disc or fence, is at most
 eps ||T||_inf / 16: no accepted energy is looser than a bisection to
-that tolerance.  count(x), the number of eigenvalues at or below x, is
-``stebz`` in value mode on (-||T||_inf, x] with an absolute tolerance
-above that width, which stops after its endpoint Sturm counts.  A block
-that fails any check is solved by index, as both blocks of the first
-grid of a 10-level eigensolve from N = 4000 are at V0 / T >= 1e6, where
-the pilot places the levels 6e-3 off.  ``convergence_study`` solves every
-grid by index.
+that tolerance.  The Hellmann-Feynman pressure below is first order in
+the vector, so for it a certified block takes one more step at each
+accepted energy, a shift so close to its eigenvalue that the one step
+converges the vector.  count(x), the number of eigenvalues at or below
+x, is ``stebz`` in value mode on (-||T||_inf, x] with an absolute
+tolerance above that width, which stops after its endpoint Sturm counts.
+A block that fails any check is solved by index, as both blocks of the
+first grid of a 10-level eigensolve from N = 4000 are at V0 / T >= 1e6,
+where the pilot places the levels 6e-3 off.  ``convergence_study``
+solves every grid by index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
 leading error terms: h^2 and h^4, or, for 0 < V0 / T < 3/4, the wall term
@@ -131,10 +131,6 @@ _MIN_GRID_POINTS = 64
 # iteration of a first grid four times finer: from pilots of 500 nodes or
 # fewer, a fifth or more of those blocks fail their certificate
 _MIN_CENTRE_POINTS = 1000
-# the fewest nodes of a first grid from which the later grids are refined:
-# below it, about half of their blocks fail their certificate, and solving
-# every grid by index is as fast
-_MIN_REFINING_POINTS = 300
 # relative step in L of the closed-form branch of numerical_pressure
 _DIFFERENCE_STEP = 1e-4
 
@@ -309,7 +305,7 @@ def _interpolated(vectors, size: int, parity: int) -> np.ndarray:
     return padded[1:-1]
 
 
-def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
+def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple, converge: bool):
     """Eigenvalues low, low + 1, ... of one block and their unit vectors,
     from inverse iteration at ``centres`` and the vectors' Rayleigh
     quotients, or None when the certificate of the module docstring fails.
@@ -317,7 +313,9 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
     Each step is one ``gtsv`` solve of (T - centre) y = u per column, from
     the columns of ``initial``, which it overwrites, or from a ramp when it
     is None.  ``steps`` holds the number of steps taken before each try of
-    the certificate; a failure of the last try returns None."""
+    the certificate; a failure of the last try returns None.  With
+    ``converge``, a certified block's vectors take one more step, each at
+    its certified energy."""
     stebz, _, gtsv = _lapack()
     magnitude, absolute = np.abs(off_diagonal), np.abs(diagonal)
     rows = absolute.copy()
@@ -331,9 +329,9 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
     if vector is None:  # one column per centre
         vector = np.tile(np.arange(1.0, diagonal.size + 1), (centres.size, 1)).T
 
-    def iterate(number):
-        for j, centre in enumerate(centres):
-            column, shifted = vector[:, j], diagonal - centre
+    def iterate(number, shifts):
+        for j, shift in enumerate(shifts):
+            column, shifted = vector[:, j], diagonal - shift
             for _ in range(number):
                 *_, column, info = gtsv(off_diagonal, shifted, off_diagonal, column)
                 if info:
@@ -385,9 +383,11 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple):
         return energies, vector
 
     for number in steps:
-        iterate(number)
+        iterate(number, centres)
         solution = certified()
         if solution is not None:
+            if converge:
+                iterate(1, solution[0])
             return solution
     return None
 
@@ -413,8 +413,9 @@ def _fd_levels(
     inverse iteration; a block they do not certify is solved by index.
     ``seeds``, the block vectors this returned on the grid before, start
     that iteration: one step, and one more for a block that fails its
-    certificate, for energies alone, and two for the pressures, which are
-    first order in the vector, against three from a ramp.
+    certificate, against three from a ramp.  For the pressures, which are
+    first order in the vector, a certified block's vectors take one more
+    step at their certified energies.
     """
     energies = np.empty(last - first + 1)
     pressures = np.empty_like(energies) if vectors else None
@@ -430,8 +431,10 @@ def _fd_levels(
             initial, steps = None, (3,)
             if seeds[parity] is not None:
                 initial = _interpolated(seeds[parity], diagonal.size, parity)
-                steps = (2,) if vectors else (1, 1)
-            solution = _refined(diagonal, off_diagonal, low, centres[wanted], initial, steps)
+                steps = (1, 1)
+            solution = _refined(
+                diagonal, off_diagonal, low, centres[wanted], initial, steps, vectors
+            )
         if solution is None:
             solution = _indexed(diagonal, off_diagonal, low, high, vectors)
         energies[wanted], vector = solution
@@ -459,20 +462,19 @@ def _grid_levels(
 
     The first grid takes its centres from a pilot grid of a quarter of its
     nodes, solved by index for energies alone, when the pilot has at least
-    ``_MIN_CENTRE_POINTS`` nodes, and each later grid from the grids before
-    it when the first has at least ``_MIN_REFINING_POINTS``; a grid without
-    centres is solved by index."""
+    ``_MIN_CENTRE_POINTS`` nodes and holds level ``last``, else it is solved
+    by index; each later grid takes them from the grids before it."""
     exponent = _wall_exponents(params)[0]
     energies, pressures, seeds = [], [], (None, None)
     centres = None
-    if sizes[0] // 4 >= _MIN_CENTRE_POINTS:
-        centres = _fd_levels(params, sizes[0] // 4, first, last)[0]
+    pilot = sizes[0] // 4
+    if pilot >= max(_MIN_CENTRE_POINTS, last):
+        centres = _fd_levels(params, pilot, first, last)[0]
     for size in sizes:
         energy, pressure, seeds = _fd_levels(params, size, first, last, vectors, centres, seeds)
         energies.append(energy)
         pressures.append(pressure)
-        if sizes[0] >= _MIN_REFINING_POINTS:
-            centres = _centres(energies, exponent)
+        centres = _centres(energies, exponent)
     return energies, pressures
 
 

@@ -128,6 +128,14 @@ class TestSolveEigenvalues:
         expected = closed_energies(params, 10)
         assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-11
 
+    # A pilot of N // 4 nodes cannot hold a level above N // 4, so such a
+    # window takes no pilot and its first grid is solved by index.
+    def test_window_above_pilot_is_solved_by_index(self, unit_well):
+        grid = GridSpec(4000, richardson_levels=1, level_count=1001)
+        spectrum = solve_eigenvalues(unit_well, grid)
+        expected = oracle._fd_levels(unit_well, 4000, 1, 1001)[0]
+        assert np.array_equal(spectrum.eigenvalues, expected)
+
     def test_wall_exponent_rule(self, request):
         # the oracle solves the indicial equation itself; 2 s - 1 = 1 + lambda
         for well in ("unit_well", "wide_well", "box"):
@@ -215,6 +223,15 @@ class TestNumericalPressure:
         params = request.getfixturevalue(well)
         numeric = numerical_pressure(params, n, use_eigenvalues=True)
         assert numeric == pytest.approx(levels(params, n).pressure_total, rel=1e-6)
+
+    # Level 1001 lies above the 1000-node pilot of the N = 4000 grid, so that
+    # grid is solved by index and hands its vectors to the N = 8001 grid.
+    def test_level_above_pilot_is_solved_by_index(self, unit_well):
+        n = 1001
+        energy, pressure, seeds = oracle._fd_levels(unit_well, 4000, n, n, vectors=True)
+        finer = oracle._fd_levels(unit_well, 8001, n, n, True, centres=energy, seeds=seeds)[1]
+        expected = oracle._richardson([pressure[0], finer[0]], oracle._wall_exponents(unit_well))
+        assert numerical_pressure(unit_well, n, use_eigenvalues=True) == expected[0]
 
     def test_level_above_fixed_grid_is_invalid(self, unit_well):
         # the coarser fixed grid has 4000 nodes
@@ -379,23 +396,30 @@ def coarse_centres(params: PTParameters, n_points: int, first: int, last: int):
     return oracle._centres([energies], oracle._wall_exponents(params)[0])
 
 
-# The Hellmann-Feynman pressure is first order in the vector, so on the
-# 4000 -> 8001 step, the one numerical_pressure takes, the refined pressures
-# are held to the index solve's within 2 floor / L, as the energies are
-# within the floor; the measured worst is 0.26 of that bound (V0/T = 2e-3).
-# On the 64 -> 129 step they are up to 27 (from a ramp) and 1500 (from the
-# coarse vectors) times the bound apart on the unit well, so they are held
-# to 1e-6 relative there.
+# The Hellmann-Feynman pressure is first order in the vector, so a refined
+# block takes one more step at its certified energies for it, and the
+# refined pressures are held to the index solve's within 2 floor / L, as the
+# energies are within the floor.  The steps are the two numerical_pressure
+# takes, from the 1000-node pilot's energies, 1e-4 to 6e-3 off, to N = 4000
+# (from a ramp only, as the pilot hands on energies alone) and from there
+# to N = 8001, and 64 -> 129.  Measured worst: 0.30 of the bound on
+# 1000 -> 4000 (V0/T = 1), 0.26 on 4000 -> 8001 (V0/T = 2e-3), 0.16 on
+# 64 -> 129 (box); without the extra step 1.06 (V0/T = 1e6, levels 3-7),
+# 0.26 and 1500 (unit well, from the coarse vectors).
 STEPS = [
-    pytest.param(well, 4000, 8001, id=f"4000-8001-{well}") for well in WELLS
+    pytest.param(well, coarse, fine, id=f"{coarse}-{fine}-{well}")
+    for coarse, fine in [(4000, 8001), (1000, 4000)]
+    for well in WELLS
 ] + [
-    pytest.param(*well.values, 4000, 8001, id=f"4000-8001-{well.id}") for well in RATIO_WELLS
+    pytest.param(*well.values, coarse, fine, id=f"{coarse}-{fine}-{well.id}")
+    for coarse, fine in [(4000, 8001), (1000, 4000)]
+    for well in RATIO_WELLS
 ] + [pytest.param(well, 64, 129, id=f"64-129-{well}") for well in WELLS]
 
 
 class TestBracketedSolve:
-    # From a ramp, and from the coarse grid's index-solve vectors, as
-    # numerical_pressure starts.
+    # From a ramp, and, on the steps to 2 N + 1 nodes, from the coarse grid's
+    # index-solve vectors.
     @pytest.mark.parametrize("well, coarse, fine", STEPS)
     @pytest.mark.parametrize("first, last", WINDOWS)
     def test_agrees_with_index_solve(self, request, well, coarse, fine, first, last):
@@ -406,21 +430,21 @@ class TestBracketedSolve:
             params, fine, first, last, vectors=True, centres=centres
         )
         alone = oracle._fd_levels(params, fine, first, last, centres=centres)[0]
-        seeded = oracle._fd_levels(
-            params, fine, first, last, vectors=True, centres=centres, seeds=seeds
-        )
+        solves = [(energies, pressures)]
+        if fine == 2 * coarse + 1:  # the grids whose nodes _interpolated carries
+            seeded = oracle._fd_levels(
+                params, fine, first, last, vectors=True, centres=centres, seeds=seeds
+            )
+            solves.append(seeded[:2])
         expected, expected_pressures, _ = oracle._fd_levels(
             params, fine, first, last, vectors=True
         )
         floor = max(bisection_floor(*block[1:]) for block in oracle._parity_blocks(params, fine, 1))
         assert np.array_equal(alone, energies)
-        for energies, pressures, _ in [(energies, pressures, None), seeded]:
+        for energies, pressures in solves:
             assert np.max(np.abs(energies - expected)) <= floor
-            if coarse == 4000:
-                bound = 2.0 * floor / params.half_width
-                assert np.max(np.abs(pressures - expected_pressures)) <= bound
-            else:
-                np.testing.assert_allclose(pressures, expected_pressures, rtol=1e-6)
+            bound = 2.0 * floor / params.half_width
+            assert np.max(np.abs(pressures - expected_pressures)) <= bound
 
     # Only the pilot grid, N = 1000 with blocks of 500 nodes, is solved by
     # index: every block of the first grid, N = 4000, certifies from the
@@ -470,9 +494,10 @@ class TestBracketedSolve:
     # Each refined level takes one gtsv solve per step of inverse iteration:
     # three from a ramp on the first grid, N = 4000, centred by the pilot
     # grid's energies; one from the N = 4000 vectors on the eigensolve's
-    # N = 8001 grid and one from those on its N = 16003 grid; two from the
-    # N = 4000 vectors on the pressure's N = 8001 grid, as the pressure is
-    # first order in the vector.  On the deepest well, V0 / T = 1e6, the
+    # N = 8001 grid and one from those on its N = 16003 grid.  The pressure,
+    # first order in the vector, takes one more step at each certified
+    # energy: four on its N = 4000 grid and two, from the N = 4000 vectors,
+    # on its N = 8001 grid.  On the deepest well, V0 / T = 1e6, the
     # eigensolve's first grid falls back to the index solve for energies
     # alone, so its N = 8001 grid takes three steps from a ramp.  stein,
     # which runs only in an index solve with vectors, is never called.
@@ -504,24 +529,25 @@ class TestBracketedSolve:
             calls.clear()
             numerical_pressure(params, n, use_eigenvalues=True)
             block = 4001 if n % 2 else 4000
-            assert calls == [("gtsv", 2000)] * 3 + [("gtsv", block)] * 2
+            assert calls == [("gtsv", 2000)] * 4 + [("gtsv", block)] * 2
 
-    # A first grid under _MIN_REFINING_POINTS nodes centres no later grid,
-    # and one under four times _MIN_CENTRE_POINTS takes no pilot, so every
-    # grid is solved by index with no attempt at inverse iteration; from
-    # N = 300 on, the later grids are refined.
-    @pytest.mark.parametrize("n_points", [64, 128, 256, 299, 300])
-    def test_small_first_grids_are_solved_by_index(self, unit_well, n_points, monkeypatch):
+    # A first grid under four times _MIN_CENTRE_POINTS nodes takes no pilot,
+    # so the first blocks solved by index are its own.
+    @pytest.mark.parametrize(
+        "n_points, blocks", [(64, [32, 32]), (3999, [2000, 1999]), (4000, [500, 500])]
+    )
+    def test_pilot_only_from_4000_nodes(self, unit_well, n_points, blocks, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
-        calls = []
+        sizes = []
 
-        def recording_gtsv(*args):
-            calls.append("gtsv")
-            return gtsv(*args)
+        def recording_stebz(diagonal, off_diagonal, mode, *args):
+            if mode == 2:  # by index, as only the index solve calls it
+                sizes.append(diagonal.size)
+            return stebz(diagonal, off_diagonal, mode, *args)
 
-        monkeypatch.setattr(oracle, "_lapack", lambda: (stebz, stein, recording_gtsv))
+        monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
         solve_eigenvalues(unit_well, GridSpec(n_points, richardson_levels=3, level_count=10))
-        assert bool(calls) == (n_points >= 300)
+        assert sizes[:2] == blocks
 
     # Centres on the next level of the block, scaled by 1.3, or NaN in each
     # block fail certification, and the index solve's bits come back.
