@@ -13,11 +13,9 @@ from .errors import (
 from .limits import (
     FP_REGIME,
     HO_REGIME,
-    ApproximationReport,
     LimitExpansion,
     fp_limit_expansion,
     ho_limit_expansion,
-    limit_equation_of_state,
 )
 from .oracle import (
     ConvergenceReport,
@@ -28,11 +26,10 @@ from .oracle import (
     solve_eigenvalues,
 )
 from .parameters import DerivedScales, PTParameters, derive_scales, potential
-from .perturbation import PerturbedEnergy, perturbed_energy, potential_series_eval
+from .perturbation import PerturbedEnergy, perturbed_energy
 from .semiclassical import (
     ActionEvaluation,
     action,
-    classical_momentum,
     qc_energy_closed,
     qc_energy_numeric,
     turning_point,
@@ -71,18 +68,14 @@ __all__ = [
     "FP_REGIME",
     "HO_REGIME",
     "LimitExpansion",
-    "ApproximationReport",
     "fp_limit_expansion",
     "ho_limit_expansion",
-    "limit_equation_of_state",
     "ActionEvaluation",
-    "classical_momentum",
     "turning_point",
     "action",
     "qc_energy_closed",
     "qc_energy_numeric",
     "PerturbedEnergy",
-    "potential_series_eval",
     "perturbed_energy",
     "GridSpec",
     "NumericalSpectrum",

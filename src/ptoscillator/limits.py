@@ -17,18 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, InvalidParameterError
 from .parameters import PTParameters, check_finite, check_single_level, derive_scales
-from .spectra import levels
 
 __all__ = [
     "FP_REGIME",
     "HO_REGIME",
     "LimitExpansion",
-    "ApproximationReport",
     "fp_limit_expansion",
     "ho_limit_expansion",
-    "limit_equation_of_state",
 ]
 
 FP_REGIME = "FP"
@@ -46,8 +45,6 @@ _REGIME_GUARDS = {
 def _regime_scales(params: PTParameters, regime: str) -> tuple:
     """Scales of the well and its V0 / T; raises :class:`DomainError`
     unless V0 / T lies inside ``regime``'s validity region."""
-    if regime not in (FP_REGIME, HO_REGIME):
-        raise InvalidParameterError(f"regime must be {FP_REGIME!r} or {HO_REGIME!r}, got {regime!r}")
     low, high, requirement = _REGIME_GUARDS[regime]
     scales = derive_scales(params)
     depth_ratio = params.well_depth / scales.kinetic_scale
@@ -76,6 +73,8 @@ class LimitExpansion:
     def __post_init__(self) -> None:
         if self.lambda_approx < 0.0:
             raise InvalidParameterError("series value of lambda must be >= 0")
+        if isinstance(self.order_kept, bool) or not isinstance(self.order_kept, (int, np.integer)):
+            raise InvalidParameterError(f"order_kept must be an integer, got {self.order_kept!r}")
         if self.order_kept not in (1, 2, 3):
             raise InvalidParameterError("order_kept must be 1, 2 or 3")
 
@@ -92,16 +91,6 @@ class LimitExpansion:
             energy = self.kinetic_scale * n * n + ho_part
         check_finite("approximate energy", n, energy)
         return energy
-
-
-@dataclass(frozen=True, slots=True)
-class ApproximationReport:
-    """Side-by-side exact vs approximate value with deviations."""
-
-    exact: float
-    approx: float
-    absolute_error: float
-    relative_error: float
 
 
 def fp_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
@@ -150,23 +139,4 @@ def ho_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
         oscillator_quantum_approx=scales.kinetic_scale * lam,
         order_kept=order,
         kinetic_scale=scales.kinetic_scale,
-    )
-
-
-def limit_equation_of_state(params: PTParameters, n: int, regime: str) -> ApproximationReport:
-    """Compare the measured exponent s_eff = P_n L / E_n with the
-    limiting value (2 on the box side, 1 on the oscillator side).
-
-    The parameters must lie inside the claimed regime's validity
-    region, enforced with the same guard as the expansions.
-    """
-    _regime_scales(params, regime)
-    s_limit = 2.0 if regime == FP_REGIME else 1.0
-    level = levels(params, n)
-    s_eff = level.pressure_total * params.half_width / level.energy_total
-    return ApproximationReport(
-        exact=s_eff,
-        approx=s_limit,
-        absolute_error=abs(s_eff - s_limit),
-        relative_error=abs(s_eff - s_limit) / abs(s_limit),
     )

@@ -56,10 +56,12 @@ ch. 4 and 10), summed as
     theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
 
 with r_i the row sums of the block and e_i its off-diagonal.  The r_i are
-V_i >= 0, or k + V_i and up to 2 k + V_i in the first and last rows, but
-for the row before the centre of an odd grid's even block, V_i -
-(sqrt(2) - 1) k; so the sum does not cancel the terms 2 k u_i^2 that
-u^T T u does.  The disc [theta - rho, theta + rho],
+V_i >= 0, or k + V_i and up to 2 k + V_i in the first and last rows, so
+the sum avoids cancelling the terms 2 k u_i^2 of u^T T u, except at the
+centre of an odd grid's even block, whose rows V_i - (sqrt(2) - 1) k and
+V_i + (2 - sqrt(2)) k and the sqrt(2) k term between them, 0.1-0.4 k u_i^2
+each, cancel to order 1: about 1e-13 relative rounding, which the 4 eps
+term of rho covers.  The disc [theta - rho, theta + rho],
 
     rho = ||T u - theta u||_2 + 4 eps (|| |T| |u| ||_2 + |theta|),
 

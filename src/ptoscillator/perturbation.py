@@ -21,36 +21,12 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DomainError, InvalidParameterError
 from .parameters import PTParameters, check_finite, check_single_level, derive_scales
 
 __all__ = [
-    "TAN_SQUARED_COEFFICIENTS",
-    "potential_series_eval",
     "PerturbedEnergy",
     "perturbed_energy",
 ]
-
-# Taylor coefficients of tan^2(y) = sum c_k y^(2k).
-TAN_SQUARED_COEFFICIENTS = (1.0, 2.0 / 3.0, 17.0 / 45.0)
-
-
-def potential_series_eval(params: PTParameters, x: float, k_max: int) -> float:
-    """Evaluate the truncated potential V0 sum_k c_k (alpha x)^(2k).
-
-    At k_max = 1 this is exactly the harmonic potential
-    (1/2) m w~^2 x^2 of the wide-well limit.
-    """
-    if k_max not in (1, 2, 3):
-        raise InvalidParameterError(f"series truncation must be 1, 2 or 3, got {k_max!r}")
-    y = params.alpha * x
-    if not abs(y) < 0.5 * math.pi:
-        raise DomainError(f"|alpha x| must be below pi/2, got {abs(y)!r}")
-    y2 = y * y
-    total = 0.0
-    for coeff in reversed(TAN_SQUARED_COEFFICIENTS[:k_max]):
-        total = total * y2 + coeff
-    return params.well_depth * y2 * total
 
 
 class PerturbedEnergy(NamedTuple):

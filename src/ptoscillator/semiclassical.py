@@ -28,11 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidParameterError, QuadratureError
-from .parameters import PTParameters, check_finite, check_single_level, derive_scales, potential
+from .parameters import PTParameters, check_finite, check_single_level, derive_scales
 
 __all__ = [
     "ActionEvaluation",
-    "classical_momentum",
     "turning_point",
     "action",
     "qc_energy_closed",
@@ -40,9 +39,6 @@ __all__ = [
 ]
 
 _ACTION_REL_TOL = 1e-10
-# Momentum arguments may dip a hair below zero at the turning point from
-# rounding alone; treat that as exactly zero.
-_TURNING_SLACK = 1e-12
 
 # Tanh-sinh rule on theta in [0, pi/2] (Takahasi & Mori, Publ. RIMS 9, 721 (1974)):
 # theta = (pi/4) (1 + tanh u), u = (pi/2) sinh t, step 1/32 on t in [-3.5, 3.5]; the even
@@ -52,23 +48,6 @@ _T = np.arange(-112, 113) / 32.0
 _U = 0.5 * np.pi * np.sinh(_T)
 _NODES = 0.125 * np.pi * np.exp(-_U) / np.cosh(_U)
 _WEIGHTS = np.pi**2 / 256.0 * np.cosh(_T) / np.cosh(_U) ** 2 * np.sin(2.0 * _NODES)
-
-
-def classical_momentum(params: PTParameters, x: float, energy: float) -> float:
-    """Classical momentum sqrt(2 m (E - V(x))), zero at the turning point.
-
-    Raises :class:`DomainError` when x is not inside (-L, L) or the
-    point is classically forbidden (E < V(x)).
-    """
-    if not 0.0 < energy < math.inf:
-        raise InvalidParameterError(f"energy must be positive and finite, got {energy!r}")
-    v = potential(params, x)
-    gap = energy - v
-    if gap < 0.0:
-        if gap < -_TURNING_SLACK * max(energy, v):
-            raise DomainError(f"classically forbidden point: E={energy!r} < V(x)={v!r}")
-        gap = 0.0
-    return math.sqrt(2.0 * params.mass * gap)
 
 
 def turning_point(params: PTParameters, energy: float) -> float:

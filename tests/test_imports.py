@@ -1,4 +1,5 @@
-"""Which scipy modules the CLI subcommands load.
+"""Which names the package exports, and which scipy modules the CLI
+subcommands load.
 
 scipy is imported only inside the oracle functions that call its
 eigensolver, so the closed-form subcommands and the Bohr-Sommerfeld
@@ -7,11 +8,15 @@ extension without the scipy.linalg package.  Each probe runs in a fresh
 interpreter, because this process has loaded scipy already.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import ptoscillator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,6 +38,18 @@ for argv in json.loads(sys.argv[1]):
     report.append([code, scipy])
 print(json.dumps(report))
 """
+
+
+def test_every_exported_name_exists():
+    # a name deleted from a module but left in an __all__ fails here
+    assert len(set(ptoscillator.__all__)) == len(ptoscillator.__all__)
+    modules = [ptoscillator] + [
+        importlib.import_module(f"ptoscillator.{info.name}")
+        for info in pkgutil.iter_modules(ptoscillator.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def probe(calls: list[list[str]]) -> list[tuple[int, list[str]]]:

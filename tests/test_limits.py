@@ -7,8 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptoscillator import (
-    FP_REGIME,
-    HO_REGIME,
     DomainError,
     InvalidParameterError,
     PTOscillatorError,
@@ -18,7 +16,6 @@ from ptoscillator import (
     fp_limit_expansion,
     ho_limit_expansion,
     levels,
-    limit_equation_of_state,
     perturbed_energy,
     qc_energy_closed,
     qc_energy_numeric,
@@ -79,8 +76,9 @@ class TestBoxSideExpansion:
             fp_limit_expansion(unit_well, order=1)  # V0 / T = 0.75
 
     def test_order_guard(self, shallow_well):
-        with pytest.raises(InvalidParameterError):
-            fp_limit_expansion(shallow_well, order=3)
+        for bad in (3, True, 2.0):
+            with pytest.raises(InvalidParameterError):
+                fp_limit_expansion(shallow_well, order=bad)
 
     def test_energy_rejects_bad_quantum_number(self, shallow_well):
         expansion = fp_limit_expansion(shallow_well, order=2)
@@ -144,8 +142,9 @@ class TestOscillatorSideExpansion:
             ho_limit_expansion(shallow_well, order=2)
 
     def test_order_guard(self, wide_well):
-        with pytest.raises(InvalidParameterError):
-            ho_limit_expansion(wide_well, order=4)
+        for bad in (4, True, 2.0):
+            with pytest.raises(InvalidParameterError):
+                ho_limit_expansion(wide_well, order=bad)
 
 
 class TestConvergenceOrders:
@@ -187,38 +186,6 @@ class TestConvergenceOrders:
 
 
 class TestEquationOfState:
-    def test_box_is_exactly_two(self, box):
-        report = limit_equation_of_state(box, 5, FP_REGIME)
-        assert report.exact == 2.0
-        assert report.approx == 2.0
-        assert report.absolute_error == 0.0
-
-    def test_wide_well_is_nearly_one(self, wide_well):
-        report = limit_equation_of_state(wide_well, 1, HO_REGIME)
-        assert report.approx == 1.0
-        assert report.exact - 1.0 == pytest.approx(5e-3, rel=1e-2)
-        assert report.absolute_error == abs(report.exact - report.approx)
-
-    def test_deviation_shrinks_linearly_with_width(self, wide_well):
-        report = limit_equation_of_state(wide_well, 1, HO_REGIME)
-        wider = PTParameters(
-            mass=wide_well.mass,
-            well_depth=wide_well.well_depth,
-            half_width=10 * wide_well.half_width,
-            hbar=wide_well.hbar,
-        )
-        report10 = limit_equation_of_state(wider, 1, HO_REGIME)
-        assert report10.absolute_error <= 0.5 * report.absolute_error
-        assert report.absolute_error / report10.absolute_error == pytest.approx(10.0, abs=0.5)
-
-    def test_regime_guard_forwarded(self, shallow_well, wide_well):
-        with pytest.raises(DomainError):
-            limit_equation_of_state(shallow_well, 1, HO_REGIME)
-        with pytest.raises(DomainError):
-            limit_equation_of_state(wide_well, 1, FP_REGIME)
-        with pytest.raises(InvalidParameterError):
-            limit_equation_of_state(wide_well, 1, "neither")
-
     @given(
         depth=st.floats(min_value=1e-3, max_value=1e3),
         half_width=st.floats(min_value=1e-2, max_value=1e2),

@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import pytest
 
 from ptoscillator import (
@@ -10,75 +9,13 @@ from ptoscillator import (
     derive_scales,
     levels,
     perturbed_energy,
-    potential,
-    potential_series_eval,
 )
-from ptoscillator.perturbation import TAN_SQUARED_COEFFICIENTS
-
-mp.mp.dps = 50
 
 
 def wide_params(lam_tilde: float, depth: float = 0.5) -> PTParameters:
     kinetic = 4.0 * depth / lam_tilde**2
     half_width = math.pi / math.sqrt(8.0 * kinetic)
     return PTParameters(mass=1.0, well_depth=depth, half_width=half_width)
-
-
-class TestPotentialSeriesEval:
-    def test_coefficients_match_taylor_expansion(self):
-        # mpmath Taylor coefficients of tan(y)^2 at even orders 2, 4, 6.
-        taylor = mp.taylor(lambda y: mp.tan(y) ** 2, 0, 6)
-        for k, coeff in enumerate(TAN_SQUARED_COEFFICIENTS, start=1):
-            assert coeff == pytest.approx(float(taylor[2 * k]), abs=1e-14)
-        assert TAN_SQUARED_COEFFICIENTS[1] / TAN_SQUARED_COEFFICIENTS[0] == pytest.approx(
-            2.0 / 3.0, abs=1e-15
-        )
-
-    def test_truncation_guard(self, unit_well):
-        with pytest.raises(InvalidParameterError):
-            potential_series_eval(unit_well, 0.1, 4)
-
-    def test_zero_at_origin(self, unit_well):
-        assert potential_series_eval(unit_well, 0.0, 2) == 0.0
-
-    def test_two_term_value(self):
-        # alpha x = 0.1 with V0 = 1: 0.01 + (2/3) 1e-4 vs tan^2(0.1).
-        params = PTParameters(mass=1.0, well_depth=1.0, half_width=math.pi / 2)
-        value = potential_series_eval(params, 0.1, 2)
-        assert value == pytest.approx(0.01 + (2.0 / 3.0) * 1e-4, rel=1e-14)
-        truth = math.tan(0.1) ** 2
-        # next omitted term is (17/45) y^6
-        assert abs(value - truth) == pytest.approx((17.0 / 45.0) * 0.1**6, rel=0.05)
-
-    def test_three_term_relative_error_scale(self):
-        params = PTParameters(mass=1.0, well_depth=1.0, half_width=math.pi / 2)
-        y = 0.5
-        value = potential_series_eval(params, y, 3)
-        truth = math.tan(y) ** 2
-        rel_error = abs(value - truth) / truth
-        # next omitted term is (62/315) y^8, i.e. relative ~ y^6 scale
-        assert 0.05 * y**6 < rel_error < 0.5 * y**6
-
-    def test_leading_term_is_harmonic_potential(self, wide_well):
-        # V0 alpha^2 x^2 == (1/2) m w~^2 x^2 with hbar w~ = 2 sqrt(V0 T).
-        scales = derive_scales(wide_well)
-        hw_tilde = 2.0 * math.sqrt(wide_well.well_depth * scales.kinetic_scale)
-        omega = hw_tilde / wide_well.hbar
-        x = 7.3
-        harmonic = 0.5 * wide_well.mass * omega**2 * x**2
-        assert potential_series_eval(wide_well, x, 1) == pytest.approx(harmonic, rel=1e-13)
-
-    def test_tracks_full_potential_in_the_well_bottom(self, unit_well):
-        x = 0.3
-        assert potential_series_eval(unit_well, x, 3) == pytest.approx(
-            potential(unit_well, x), rel=1e-3
-        )
-
-    def test_domain_guard(self, unit_well):
-        with pytest.raises(DomainError):
-            potential_series_eval(unit_well, unit_well.half_width, 2)
-        with pytest.raises(DomainError):
-            potential_series_eval(unit_well, math.nan, 2)
 
 
 class TestPerturbedEnergy:

@@ -12,7 +12,6 @@ from ptoscillator import (
     PTParameters,
     QuadratureError,
     action,
-    classical_momentum,
     derive_scales,
     levels,
     qc_energy_closed,
@@ -29,34 +28,6 @@ QC_UNIT_WELL = {
     2: 2.4240381056766579701,
     5: 14.02211431702997391,
 }
-
-
-class TestClassicalMomentum:
-    def test_free_at_origin(self, unit_well):
-        assert classical_momentum(unit_well, 0.0, 0.75) == math.sqrt(2 * 0.75)
-
-    def test_vanishes_at_turning_point(self, unit_well):
-        x0 = turning_point(unit_well, 0.75)
-        assert classical_momentum(unit_well, x0, 0.75) == 0.0
-
-    def test_direct_arithmetic(self, unit_well):
-        expected = math.sqrt(2.0 * (0.75 - 0.375 * math.tan(0.5) ** 2))
-        assert classical_momentum(unit_well, 0.5, 0.75) == pytest.approx(expected, rel=1e-15)
-
-    def test_forbidden_region_rejected(self, unit_well):
-        with pytest.raises(DomainError):
-            classical_momentum(unit_well, 1.2, 0.75)  # V(1.2) ~ 2.47 > 0.75
-
-    def test_wall_rejected(self, unit_well):
-        with pytest.raises(DomainError):
-            classical_momentum(unit_well, unit_well.half_width, 10.0)
-        with pytest.raises(DomainError):
-            classical_momentum(unit_well, math.nan, 10.0)
-
-    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_nonpositive_energy(self, unit_well, energy):
-        with pytest.raises(InvalidParameterError):
-            classical_momentum(unit_well, 0.0, energy)
 
 
 class TestTurningPoint:
