@@ -185,7 +185,33 @@ class TestConvergenceOrders:
         assert slope == pytest.approx(5.0, abs=0.3)
 
 
+def equation_of_state_exponent(params: PTParameters, n: int) -> float:
+    """The effective exponent s = P L / E of level n."""
+    level = levels(params, n)
+    return level.pressure_total * params.half_width / level.energy_total
+
+
 class TestEquationOfState:
+    def test_box_is_exactly_two(self, box):
+        assert equation_of_state_exponent(box, 5) == 2.0
+
+    def test_wide_well_is_nearly_one(self, wide_well):
+        # the oscillator limit s = 1, approached as T / hw~ = 5e-3
+        assert equation_of_state_exponent(wide_well, 1) - 1.0 == pytest.approx(5e-3, rel=1e-2)
+
+    def test_deviation_shrinks_linearly_with_width(self, wide_well):
+        # T / hw~ falls as 1 / L at fixed depth, and s - 1 with it
+        wider = PTParameters(
+            mass=wide_well.mass,
+            well_depth=wide_well.well_depth,
+            half_width=10 * wide_well.half_width,
+            hbar=wide_well.hbar,
+        )
+        deviation = equation_of_state_exponent(wide_well, 1) - 1.0
+        deviation10 = equation_of_state_exponent(wider, 1) - 1.0
+        assert deviation10 <= 0.5 * deviation
+        assert deviation / deviation10 == pytest.approx(10.0, abs=0.5)
+
     @given(
         depth=st.floats(min_value=1e-3, max_value=1e3),
         half_width=st.floats(min_value=1e-2, max_value=1e2),

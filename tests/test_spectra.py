@@ -133,24 +133,6 @@ class TestPressureLevel:
         assert level.pressure_total == pytest.approx(
             level.energy_total / wide_well.half_width, rel=2e-2
         )
-        # the oscillator limit s = P L / E -> 1, approached as T / hw~ = 5e-3
-        s_eff = level.pressure_total * wide_well.half_width / level.energy_total
-        assert s_eff - 1.0 == pytest.approx(5e-3, rel=1e-2)
-
-    def test_deviation_shrinks_linearly_with_width(self, wide_well):
-        # T / hw~ falls as 1 / L at fixed depth, and s - 1 with it
-        def deviation(params):
-            level = levels(params, 1)
-            return level.pressure_total * params.half_width / level.energy_total - 1.0
-
-        wider = PTParameters(
-            mass=wide_well.mass,
-            well_depth=wide_well.well_depth,
-            half_width=10 * wide_well.half_width,
-            hbar=wide_well.hbar,
-        )
-        assert deviation(wider) <= 0.5 * deviation(wide_well)
-        assert deviation(wide_well) / deviation(wider) == pytest.approx(10.0, abs=0.5)
 
     def test_matches_width_derivative(self, unit_well, wide_well, shallow_well, box):
         # Hellmann-Feynman: closed-form pressure equals -dE/dL.
