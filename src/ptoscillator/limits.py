@@ -42,6 +42,13 @@ _REGIME_GUARDS = {
 }
 
 
+def _check_order(order, allowed: tuple, name: str) -> None:
+    """Raise :class:`InvalidParameterError` unless ``order`` is an integer
+    in ``allowed``; a bool or a float equal to one is rejected."""
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order not in allowed:
+        raise InvalidParameterError(f"{name} must be an integer in {allowed}, got {order!r}")
+
+
 def _regime_scales(params: PTParameters, regime: str) -> tuple:
     """Scales of the well and its V0 / T; raises :class:`DomainError`
     unless V0 / T lies inside ``regime``'s validity region."""
@@ -73,10 +80,7 @@ class LimitExpansion:
     def __post_init__(self) -> None:
         if self.lambda_approx < 0.0:
             raise InvalidParameterError("series value of lambda must be >= 0")
-        if isinstance(self.order_kept, bool) or not isinstance(self.order_kept, (int, np.integer)):
-            raise InvalidParameterError(f"order_kept must be an integer, got {self.order_kept!r}")
-        if self.order_kept not in (1, 2, 3):
-            raise InvalidParameterError("order_kept must be 1, 2 or 3")
+        _check_order(self.order_kept, (1, 2, 3), "order_kept")
 
     def energy(self, n: int) -> float:
         """Approximate level energy at this expansion order.
@@ -99,8 +103,7 @@ def fp_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     order 1: lambda ~ x/2;  order 2: lambda ~ (x/2)(1 - x/4), i.e.
     hbar*omega ~ 2 V0 (1 - V0/T).  Requires V0 / T < 1/4.
     """
-    if order not in (1, 2):
-        raise InvalidParameterError(f"box-side expansion order must be 1 or 2, got {order!r}")
+    _check_order(order, (1, 2), "box-side expansion order")
     scales, depth_ratio = _regime_scales(params, FP_REGIME)
     x = 4.0 * depth_ratio
     lam = 0.5 * x
@@ -122,10 +125,7 @@ def ho_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     lambda ~ lt - 1 + 1/(2 lt), i.e. hbar*omega ~ hw~ - T + T^2/(2 hw~)
     with hw~ = 2 sqrt(V0 T).  Requires V0 / T > 4.
     """
-    if order not in (1, 2, 3):
-        raise InvalidParameterError(
-            f"oscillator-side expansion order must be 1, 2 or 3, got {order!r}"
-        )
+    _check_order(order, (1, 2, 3), "oscillator-side expansion order")
     scales, depth_ratio = _regime_scales(params, HO_REGIME)
     lam_tilde = 2.0 * math.sqrt(depth_ratio)
     lam = lam_tilde

@@ -31,27 +31,30 @@ eigenvalue of the even block for odd n and of the odd block for even n.
 A grid whose levels nothing places is solved by index, bisecting from
 the Gershgorin interval of each block (``stebz``, absolute tolerance
 eps ||T||, and ``stein`` for the vectors, the calls of scipy's
-``eigh_tridiagonal``).  ``solve_eigenvalues`` and the Hellmann-Feynman
-pressure below first solve so, for energies alone, a pilot grid of a
-quarter of the first grid's nodes when it has at least 1000 and holds
-the wanted levels, which places the first grid's levels to 1e-4 to 6e-3
-relative.  Each later grid has them placed to about 1e-5 relative by the
-grids before it: at the coarser energy on the second grid, and on the
-third at c2 + (c2 - c1) / 2^p, p the leading exponent below.  A unit
-vector u of each placed level is taken by inverse iteration at its
-centre, each step one ``gtsv`` solve, LU with partial pivoting, of the
-shifted block.  From a start close to the level's vector, at a shift
-this close to its eigenvalue, one step suffices (Ipsen, SIAM Rev. 39,
-254 (1997)).  A grid solved with vectors, by index or refined, hands
-them to the next, whose nodes hold the coarse ones at every other node:
-they are O(h^2) approximations of the finer vectors and, interpolated
-linearly onto the finer nodes, start its iteration.  From them a block
-takes one step, and one more when its certificate below fails; without
-them, as on the grid after the pilot, or after a grid solved by index
-for energies alone, it takes three from a fixed ramp.  The level's
-energy is the vector's Rayleigh quotient, whose error is second order in
-the vector's (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
-ch. 4 and 10), summed as
+``eigh_tridiagonal``).  The first grid of ``solve_eigenvalues`` and of
+the Hellmann-Feynman pressure below, from 4000 nodes and for levels in
+its lowest quarter, has them placed by the closed-form spectrum
+E_n = T n^2 + hbar omega (n - 1/2) of ``spectra.levels``.  The check
+does not lean on it: the certificate below accepts an energy from the
+finite-difference block alone (residual discs, two Sturm counts and the
+Kato-Temple bound; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+ch. 10), so a wrong centre costs at most a fallback to the index solve
+and never enters a result.  Each later grid has them placed to about
+1e-5 relative by the grids before it: at the coarser energy on the
+second grid, and on the third at c2 + (c2 - c1) / 2^p, p the leading
+exponent below.  A unit vector u of each placed level is taken by
+inverse iteration at its centre, each step one ``gtsv`` solve, LU with
+partial pivoting, of the shifted block.  From a start close to the
+level's vector, at a shift this close to its eigenvalue, one step
+suffices (Ipsen, SIAM Rev. 39, 254 (1997)).  A grid solved with vectors,
+by index or refined, hands them to the next, whose nodes hold the coarse
+ones at every other node: they are O(h^2) approximations of the finer
+vectors and, interpolated linearly onto the finer nodes, start its
+iteration.  From them a block takes one step, and one more when its
+certificate below fails; without them, as on the first grid, or after a
+grid solved by index for energies alone, it takes three from a fixed
+ramp.  The level's energy is the vector's Rayleigh quotient, whose error
+is second order in the vector's (Parlett, ch. 4 and 10), summed as
 
     theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
 
@@ -79,9 +82,7 @@ accepted energy, a shift so close to its eigenvalue that the one step
 converges the vector.  count(x), the number of eigenvalues at or below
 x, is ``stebz`` in value mode on (-||T||_inf, x] with an absolute
 tolerance above that width, which stops after its endpoint Sturm counts.
-A block that fails any check is solved by index, as both blocks of the
-first grid of a 10-level eigensolve from N = 4000 are at V0 / T >= 1e6,
-where the pilot places the levels 6e-3 off.  ``convergence_study``
+A block that fails any check is solved by index.  ``convergence_study``
 solves every grid by index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
@@ -129,10 +130,10 @@ __all__ = [
 MAX_GRID_POINTS = 262_144
 
 _MIN_GRID_POINTS = 64
-# the fewest nodes of a pilot grid, whose energies centre the inverse
-# iteration of a first grid four times finer: from pilots of 500 nodes or
-# fewer, a fifth or more of those blocks fail their certificate
-_MIN_CENTRE_POINTS = 1000
+# the fewest nodes of a first grid centred on the closed-form levels: on
+# coarser grids the deep wells' blocks, and above level N // 4 every well's,
+# fail the certificate from them, at a cost above the index solve's
+_MIN_CENTRED_POINTS = 4000
 # relative step in L of the closed-form branch of numerical_pressure
 _DIFFERENCE_STEP = 1e-4
 
@@ -462,16 +463,15 @@ def _grid_levels(
     """Energies, and with ``vectors`` pressures, else None, of levels
     ``first``..``last`` on each grid of ``sizes``, coarse first.
 
-    The first grid takes its centres from a pilot grid of a quarter of its
-    nodes, solved by index for energies alone, when the pilot has at least
-    ``_MIN_CENTRE_POINTS`` nodes and holds level ``last``, else it is solved
-    by index; each later grid takes them from the grids before it."""
+    The first grid takes its centres from the closed-form levels when it
+    has at least ``_MIN_CENTRED_POINTS`` nodes and ``last`` is at most a
+    quarter of them, else it is solved by index; each later grid takes them
+    from the grids before it."""
     exponent = _wall_exponents(params)[0]
     energies, pressures, seeds = [], [], (None, None)
     centres = None
-    pilot = sizes[0] // 4
-    if pilot >= max(_MIN_CENTRE_POINTS, last):
-        centres = _fd_levels(params, pilot, first, last)[0]
+    if sizes[0] >= _MIN_CENTRED_POINTS and 4 * last <= sizes[0]:
+        centres = levels(params, np.arange(first, last + 1)).energy_total
     for size in sizes:
         energy, pressure, seeds = _fd_levels(params, size, first, last, vectors, centres, seeds)
         energies.append(energy)

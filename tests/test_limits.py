@@ -75,10 +75,13 @@ class TestBoxSideExpansion:
         with pytest.raises(DomainError):
             fp_limit_expansion(unit_well, order=1)  # V0 / T = 0.75
 
-    def test_order_guard(self, shallow_well):
-        for bad in (3, True, 2.0):
-            with pytest.raises(InvalidParameterError):
-                fp_limit_expansion(shallow_well, order=bad)
+    # the order is checked before the regime, so the unit well, outside it,
+    # rejects these orders too
+    def test_order_guard(self, shallow_well, unit_well):
+        for params in (shallow_well, unit_well):
+            for bad in (3, True, 2.0):
+                with pytest.raises(InvalidParameterError):
+                    fp_limit_expansion(params, order=bad)
 
     def test_energy_rejects_bad_quantum_number(self, shallow_well):
         expansion = fp_limit_expansion(shallow_well, order=2)
@@ -141,10 +144,13 @@ class TestOscillatorSideExpansion:
         with pytest.raises(DomainError):
             ho_limit_expansion(shallow_well, order=2)
 
-    def test_order_guard(self, wide_well):
-        for bad in (4, True, 2.0):
-            with pytest.raises(InvalidParameterError):
-                ho_limit_expansion(wide_well, order=bad)
+    # the order is checked before the regime, so the unit well, outside it,
+    # rejects these orders too
+    def test_order_guard(self, wide_well, unit_well):
+        for params in (wide_well, unit_well):
+            for bad in (4, True, 2.0, 3.0):
+                with pytest.raises(InvalidParameterError):
+                    ho_limit_expansion(params, order=bad)
 
 
 class TestConvergenceOrders:

@@ -95,8 +95,9 @@ class TestSolveEigenvalues:
 
     # The refined grids take each level from a certified Rayleigh quotient,
     # so the extrapolated energies are not held at the bisection tolerance;
-    # measured worst errors: wide 4.7e-11, box 7.0e-12, V0 = 50 1.3e-11,
-    # V0 = 1e4 3.7e-10, V0 = 5e5 1.1e-9.
+    # measured worst errors: wide 1.9e-12, box 2.0e-12, V0 = 50 1.6e-12,
+    # V0 = 1e4 8.8e-13, V0 = 5e5 2.0e-12 (with the first grid bisected
+    # 4.7e-11, 7.0e-12, 1.3e-11, 3.7e-10 and 1.1e-9).
     @pytest.mark.parametrize(
         "well, bound",
         [
@@ -114,23 +115,28 @@ class TestSolveEigenvalues:
         expected = closed_energies(params, 10)
         assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= bound
 
-    # The first grid refined from the pilot grid's energies carries no
-    # bisection floor: the measured worst is 1.9e-12 (wide) and 8.5e-13
-    # (V0 = 1e4), against 4.7e-11 and 3.7e-10 with the first grid bisected.
+    # The first grid refined from the closed-form levels carries no
+    # bisection floor: the measured worst is 1.9e-12 (wide), 8.8e-13
+    # (V0 = 1e4) and 2.0e-12 (V0 = 5e5), against 4.7e-11, 3.7e-10 and
+    # 1.1e-9 with the first grid bisected.
     @pytest.mark.parametrize(
         "well",
-        ["wide_well", PTParameters(mass=1.0, well_depth=1e4, half_width=math.pi / 2)],
-        ids=["wide", "V0=1e4"],
+        [
+            "wide_well",
+            PTParameters(mass=1.0, well_depth=1e4, half_width=math.pi / 2),
+            PTParameters(mass=1.0, well_depth=5e5, half_width=math.pi / 2),
+        ],
+        ids=["wide", "V0=1e4", "V0=5e5"],
     )
-    def test_pilot_centred_accuracy(self, request, well):
+    def test_closed_form_centred_accuracy(self, request, well):
         params = request.getfixturevalue(well) if isinstance(well, str) else well
         spectrum = solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
         expected = closed_energies(params, 10)
         assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-11
 
-    # A pilot of N // 4 nodes cannot hold a level above N // 4, so such a
-    # window takes no pilot and its first grid is solved by index.
-    def test_window_above_pilot_is_solved_by_index(self, unit_well):
+    # A window reaching above a quarter of the first grid's nodes takes no
+    # closed-form centres, so its first grid is solved by index.
+    def test_window_above_quarter_is_solved_by_index(self, unit_well):
         grid = GridSpec(4000, richardson_levels=1, level_count=1001)
         spectrum = solve_eigenvalues(unit_well, grid)
         expected = oracle._fd_levels(unit_well, 4000, 1, 1001)[0]
@@ -224,9 +230,9 @@ class TestNumericalPressure:
         numeric = numerical_pressure(params, n, use_eigenvalues=True)
         assert numeric == pytest.approx(levels(params, n).pressure_total, rel=1e-6)
 
-    # Level 1001 lies above the 1000-node pilot of the N = 4000 grid, so that
+    # Level 1001 lies above a quarter of the N = 4000 grid's nodes, so that
     # grid is solved by index and hands its vectors to the N = 8001 grid.
-    def test_level_above_pilot_is_solved_by_index(self, unit_well):
+    def test_level_above_quarter_is_solved_by_index(self, unit_well):
         n = 1001
         energy, pressure, seeds = oracle._fd_levels(unit_well, 4000, n, n, vectors=True)
         finer = oracle._fd_levels(unit_well, 8001, n, n, True, centres=energy, seeds=seeds)[1]
@@ -400,19 +406,21 @@ def coarse_centres(params: PTParameters, n_points: int, first: int, last: int):
 # block takes one more step at its certified energies for it, and the
 # refined pressures are held to the index solve's within 2 floor / L, as the
 # energies are within the floor.  The steps are the two numerical_pressure
-# takes, from the 1000-node pilot's energies, 1e-4 to 6e-3 off, to N = 4000
-# (from a ramp only, as the pilot hands on energies alone) and from there
-# to N = 8001, and 64 -> 129.  Measured worst: 0.30 of the bound on
-# 1000 -> 4000 (V0/T = 1), 0.26 on 4000 -> 8001 (V0/T = 2e-3), 0.16 on
-# 64 -> 129 (box); without the extra step 1.06 (V0/T = 1e6, levels 3-7),
-# 0.26 and 1500 (unit well, from the coarse vectors).
+# takes, from the closed-form levels to N = 4000 (from a ramp only) and
+# from there to N = 8001, and 64 -> 129 and 1000 -> 4000, whose centres,
+# up to 1.6 % and 1e-4 to 6e-3 off, are farther from the levels than the
+# closed form's.  Measured worst: 0.30 of the bound on closed -> 4000
+# (V0/T = 1), 0.26 on 4000 -> 8001 (V0/T = 2e-3), 0.16 on 64 -> 129 (box)
+# and 0.30 on 1000 -> 4000 (V0/T = 1); without the extra step 1.06
+# (1000 -> 4000, V0/T = 1e6, levels 3-7) and 1500 (64 -> 129, unit well,
+# from the coarse vectors).
 STEPS = [
     pytest.param(well, coarse, fine, id=f"{coarse}-{fine}-{well}")
-    for coarse, fine in [(4000, 8001), (1000, 4000)]
+    for coarse, fine in [(4000, 8001), (1000, 4000), ("closed", 4000)]
     for well in WELLS
 ] + [
     pytest.param(*well.values, coarse, fine, id=f"{coarse}-{fine}-{well.id}")
-    for coarse, fine in [(4000, 8001), (1000, 4000)]
+    for coarse, fine in [(4000, 8001), (1000, 4000), ("closed", 4000)]
     for well in RATIO_WELLS
 ] + [pytest.param(well, 64, 129, id=f"64-129-{well}") for well in WELLS]
 
@@ -424,14 +432,17 @@ class TestBracketedSolve:
     @pytest.mark.parametrize("first, last", WINDOWS)
     def test_agrees_with_index_solve(self, request, well, coarse, fine, first, last):
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        coarse_energies, _, seeds = oracle._fd_levels(params, coarse, first, last, vectors=True)
-        centres = oracle._centres([coarse_energies], oracle._wall_exponents(params)[0])
+        if coarse == "closed":
+            centres = levels(params, np.arange(first, last + 1)).energy_total
+        else:
+            coarse_energies, _, seeds = oracle._fd_levels(params, coarse, first, last, True)
+            centres = oracle._centres([coarse_energies], oracle._wall_exponents(params)[0])
         energies, pressures, _ = oracle._fd_levels(
             params, fine, first, last, vectors=True, centres=centres
         )
         alone = oracle._fd_levels(params, fine, first, last, centres=centres)[0]
         solves = [(energies, pressures)]
-        if fine == 2 * coarse + 1:  # the grids whose nodes _interpolated carries
+        if coarse != "closed" and fine == 2 * coarse + 1:  # the nodes _interpolated carries
             seeded = oracle._fd_levels(
                 params, fine, first, last, vectors=True, centres=centres, seeds=seeds
             )
@@ -446,11 +457,9 @@ class TestBracketedSolve:
             bound = 2.0 * floor / params.half_width
             assert np.max(np.abs(pressures - expected_pressures)) <= bound
 
-    # Only the pilot grid, N = 1000 with blocks of 500 nodes, is solved by
-    # index: every block of the first grid, N = 4000, certifies from the
-    # pilot's energies, and every later block from the grids before it.  On
-    # the deepest well, V0 / T = 1e6, both blocks of the eigensolve's first
-    # grid fail their certificate and are solved by index.
+    # No block is solved by index: every block of the first grid, N = 4000,
+    # certifies from the closed-form levels, and every later block from the
+    # grids before it, on the deepest well, V0 / T = 1e6, too.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
@@ -464,12 +473,46 @@ class TestBracketedSolve:
         params = request.getfixturevalue(well) if isinstance(well, str) else well
         monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
-        fallbacks = [2000, 2000] if params.well_depth >= 5e5 else []
-        assert sizes == [500, 500] + fallbacks
+        assert sizes == []
         for n in range(1, 6):
-            sizes.clear()
             numerical_pressure(params, n, use_eigenvalues=True)
-            assert sizes == [500]
+            assert sizes == []
+
+    # The closed form only centres the first grid, whose certificate accepts
+    # an energy from the finite-difference block alone, so closed-form levels
+    # 1 % high, one level up or NaN cost at most an index solve.  Measured
+    # worst change: 1.1e-9 relative (energies) and 5.8e-8 (pressures).
+    @pytest.mark.parametrize(
+        "well",
+        [
+            "unit_well",
+            "wide_well",
+            pytest.param(
+                PTParameters(mass=1.0, well_depth=5e5, half_width=math.pi / 2), id="V0=5e5"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("wrong", ["high", "next", "nan"])
+    def test_results_do_not_follow_closed_form(self, request, well, wrong, monkeypatch):
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        grid = GridSpec(4000, richardson_levels=3, level_count=10)
+        expected = solve_eigenvalues(params, grid).eigenvalues
+        pressure_levels = (1, 2, 5)
+        expected_pressures = [numerical_pressure(params, n, True) for n in pressure_levels]
+        shift, scale = {"high": (0, 1.01), "next": (1, 1.0), "nan": (0, math.nan)}[wrong]
+        calls = []
+
+        def wrong_levels(well_params, n):
+            calls.append(n)
+            closed = levels(well_params, n + shift)
+            return closed._replace(energy_total=closed.energy_total * scale)
+
+        monkeypatch.setattr(oracle, "levels", wrong_levels)
+        energies = solve_eigenvalues(params, grid).eigenvalues
+        pressures = [numerical_pressure(params, n, True) for n in pressure_levels]
+        assert len(calls) == 4
+        np.testing.assert_allclose(energies, expected, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(pressures, expected_pressures, rtol=1e-6, atol=0.0)
 
     # The coarse grid's vectors carried onto the finer grid are second order
     # approximations of its vectors: their distance falls by about 4 (3.6 to
@@ -492,15 +535,13 @@ class TestBracketedSolve:
         assert np.all(distances[1] / distances[3] > 3.0)
 
     # Each refined level takes one gtsv solve per step of inverse iteration:
-    # three from a ramp on the first grid, N = 4000, centred by the pilot
-    # grid's energies; one from the N = 4000 vectors on the eigensolve's
+    # three from a ramp on the first grid, N = 4000, centred by the
+    # closed-form levels; one from the N = 4000 vectors on the eigensolve's
     # N = 8001 grid and one from those on its N = 16003 grid.  The pressure,
     # first order in the vector, takes one more step at each certified
     # energy: four on its N = 4000 grid and two, from the N = 4000 vectors,
-    # on its N = 8001 grid.  On the deepest well, V0 / T = 1e6, the
-    # eigensolve's first grid falls back to the index solve for energies
-    # alone, so its N = 8001 grid takes three steps from a ramp.  stein,
-    # which runs only in an index solve with vectors, is never called.
+    # on its N = 8001 grid.  stein, which runs only in an index solve with
+    # vectors, is never called.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_solves_per_level(self, request, well, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
@@ -519,10 +560,9 @@ class TestBracketedSolve:
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
         # five levels in each block of N = 4000 (2000 and 2000 nodes), of
         # N = 8001 (4001 and 4000 nodes) and of N = 16003 (8002 and 8001 nodes)
-        steps = 3 if params.well_depth >= 5e5 else 1
         assert calls == (
             [("gtsv", 2000)] * 30
-            + [("gtsv", 4001)] * 5 * steps + [("gtsv", 4000)] * 5 * steps
+            + [("gtsv", 4001)] * 5 + [("gtsv", 4000)] * 5
             + [("gtsv", 8002)] * 5 + [("gtsv", 8001)] * 5
         )
         for n in range(1, 6):
@@ -531,12 +571,12 @@ class TestBracketedSolve:
             block = 4001 if n % 2 else 4000
             assert calls == [("gtsv", 2000)] * 4 + [("gtsv", block)] * 2
 
-    # A first grid under four times _MIN_CENTRE_POINTS nodes takes no pilot,
-    # so the first blocks solved by index are its own.
+    # A first grid under _MIN_CENTRED_POINTS nodes takes no closed-form
+    # centres, so its blocks are solved by index; from 4000 nodes none is.
     @pytest.mark.parametrize(
-        "n_points, blocks", [(64, [32, 32]), (3999, [2000, 1999]), (4000, [500, 500])]
+        "n_points, blocks", [(64, [32, 32]), (3999, [2000, 1999]), (4000, [])]
     )
-    def test_pilot_only_from_4000_nodes(self, unit_well, n_points, blocks, monkeypatch):
+    def test_centred_only_from_4000_nodes(self, unit_well, n_points, blocks, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
         sizes = []
 
@@ -680,9 +720,8 @@ def fail_lapack_routine(monkeypatch, name: str, above: int = 0) -> None:
 
 
 class TestBracketedSolverFailure:
-    # The blocks of the pilot and first grids, N = 1000 and 4000, have at
-    # most 2000 nodes, so they are solved and the routine fails in the
-    # refined solve of N = 8001.
+    # The blocks of the first grid, N = 4000, have 2000 nodes, so it is
+    # solved and the routine fails in the refined solve of N = 8001.
     @pytest.mark.parametrize("routine", ["stebz", "gtsv"])
     def test_pressure_is_convergence_error(self, unit_well, monkeypatch, routine):
         fail_lapack_routine(monkeypatch, routine, above=2000)
@@ -766,8 +805,8 @@ class TestNonFiniteHamiltonian:
 
 
 class TestEigensolverFailure:
-    # the first index solve, of the first grid or of the pilot grid before
-    # it, reports info = 1
+    # the first stebz call reports info = 1: the index solve of the 64-node
+    # grid, or a Sturm count of the certificate on the pressure's first grid
     @pytest.fixture(autouse=True)
     def failing_eigensolver(self, monkeypatch):
         fail_lapack_routine(monkeypatch, "stebz")

@@ -223,10 +223,18 @@ class TestValidation:
     )
     @pytest.mark.filterwarnings("error")
     def test_subnormal_scales_rejected(self, kwargs):
-        # a subnormal keeps only a few bits: hbar = 1e-160 put T off by 1.5e-5
+        # a subnormal keeps only a few bits: hbar = 1e-160 put T off by 1.5e-5;
+        # the oracle's first grid takes its centres from the closed form, so
+        # it raises too, where its pressures came back 4.1e-313 (hbar = 1e-160)
+        # and 4.1e-303 (m = 1e307) against about 2.5e-320 and 2.5e-310
         params = PTParameters(**{"mass": 1.0, "well_depth": 0.0, "half_width": 1.0, **kwargs})
-        with pytest.raises(DomainError, match="normal floating-point range"):
-            derive_scales(params)
+        for evaluate in (
+            derive_scales,
+            lambda p: solve_eigenvalues(p, GridSpec(4000, 3, 10)),
+            lambda p: numerical_pressure(p, 1, use_eigenvalues=True),
+        ):
+            with pytest.raises(DomainError, match="normal floating-point range"):
+                evaluate(params)
 
 
 class TestPotential:
