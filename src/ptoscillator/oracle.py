@@ -32,20 +32,20 @@ A grid whose levels nothing places is solved by index, bisecting from
 the Gershgorin interval of each block (``stebz``, absolute tolerance
 eps ||T||, and ``stein`` for the vectors, the calls of scipy's
 ``eigh_tridiagonal``).  The first grid of ``solve_eigenvalues`` and of
-the Hellmann-Feynman pressure below, from 4000 nodes and for levels in
-its lowest quarter, has them placed by the closed-form spectrum
-E_n = T n^2 + hbar omega (n - 1/2) of ``spectra.levels``.  The check
-does not lean on it: the certificate below accepts an energy from the
-finite-difference block alone (residual discs, two Sturm counts and the
-Kato-Temple bound; Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
-ch. 10), so a wrong centre costs at most a fallback to the index solve
-and never enters a result.  Each later grid has them placed to about
-1e-5 relative by the grids before it: at the coarser energy on the
-second grid, and on the third at c2 + (c2 - c1) / 2^p, p the leading
-exponent below.  A unit vector u of each placed level is taken by
-inverse iteration at its centre, each step one ``gtsv`` solve, LU with
-partial pivoting, of the shifted block.  From a start close to the
-level's vector, at a shift this close to its eigenvalue, one step
+the Hellmann-Feynman pressure below has them placed by the closed-form
+spectrum E_n = T n^2 + hbar omega (n - 1/2) of ``spectra.levels``.  The
+check does not lean on it: the certificate below accepts an energy from
+the finite-difference block alone (residual discs, two Sturm counts and
+the Kato-Temple bound; Parlett, The Symmetric Eigenvalue Problem, SIAM
+1998, ch. 10), so a centre that does not certify, as on coarse grids, on
+the deepest wells or above about level N / 4, costs at most a fallback
+to the index solve and never enters a result.  Each later grid has them
+placed to about 1e-5 relative by the grids before it: at the coarser
+energy on the second grid, and on the third at c2 + (c2 - c1) / 2^p, p
+the leading exponent below.  A unit vector u of each placed level is
+taken by inverse iteration at its centre, each step one ``gtsv`` solve,
+LU with partial pivoting, of the shifted block.  From a start close to
+the level's vector, at a shift this close to its eigenvalue, one step
 suffices (Ipsen, SIAM Rev. 39, 254 (1997)).  A grid solved with vectors,
 by index or refined, hands them to the next, whose nodes hold the coarse
 ones at every other node: they are O(h^2) approximations of the finer
@@ -130,10 +130,6 @@ __all__ = [
 MAX_GRID_POINTS = 262_144
 
 _MIN_GRID_POINTS = 64
-# the fewest nodes of a first grid centred on the closed-form levels: on
-# coarser grids the deep wells' blocks, and above level N // 4 every well's,
-# fail the certificate from them, at a cost above the index solve's
-_MIN_CENTRED_POINTS = 4000
 # relative step in L of the closed-form branch of numerical_pressure
 _DIFFERENCE_STEP = 1e-4
 
@@ -318,7 +314,8 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple, c
     is None.  ``steps`` holds the number of steps taken before each try of
     the certificate; a failure of the last try returns None.  With
     ``converge``, a certified block's vectors take one more step, each at
-    its certified energy."""
+    its certified energy, and keep the certified vector where that step
+    meets a zero pivot."""
     stebz, _, gtsv = _lapack()
     magnitude, absolute = np.abs(off_diagonal), np.abs(diagonal)
     rows = absolute.copy()
@@ -332,14 +329,16 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple, c
     if vector is None:  # one column per centre
         vector = np.tile(np.arange(1.0, diagonal.size + 1), (centres.size, 1)).T
 
-    def iterate(number, shifts):
+    def iterate(number, shifts, converging=False):
         for j, shift in enumerate(shifts):
             column, shifted = vector[:, j], diagonal - shift
             for _ in range(number):
-                *_, column, info = gtsv(off_diagonal, shifted, off_diagonal, column)
+                *_, solved, info = gtsv(off_diagonal, shifted, off_diagonal, column)
+                if info and converging:  # a zero pivot: the shift is an eigenvalue
+                    break
                 if info:
                     raise ConvergenceError(f"tridiagonal eigensolver failed: gtsv info {info}")
-                column /= np.linalg.norm(column)
+                column = solved / np.linalg.norm(solved)
             vector[:, j] = column
 
     def times(diagonal, off_diagonal, column):
@@ -390,7 +389,7 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple, c
         solution = certified()
         if solution is not None:
             if converge:
-                iterate(1, solution[0])
+                iterate(1, solution[0], converging=True)
             return solution
     return None
 
@@ -463,15 +462,12 @@ def _grid_levels(
     """Energies, and with ``vectors`` pressures, else None, of levels
     ``first``..``last`` on each grid of ``sizes``, coarse first.
 
-    The first grid takes its centres from the closed-form levels when it
-    has at least ``_MIN_CENTRED_POINTS`` nodes and ``last`` is at most a
-    quarter of them, else it is solved by index; each later grid takes them
-    from the grids before it."""
+    The first grid takes its centres from the closed-form levels and each
+    later grid from the grids before it; a block they do not certify is
+    solved by index."""
     exponent = _wall_exponents(params)[0]
     energies, pressures, seeds = [], [], (None, None)
-    centres = None
-    if sizes[0] >= _MIN_CENTRED_POINTS and 4 * last <= sizes[0]:
-        centres = levels(params, np.arange(first, last + 1)).energy_total
+    centres = levels(params, np.arange(first, last + 1)).energy_total
     for size in sizes:
         energy, pressure, seeds = _fd_levels(params, size, first, last, vectors, centres, seeds)
         energies.append(energy)

@@ -117,8 +117,10 @@ class TestSolveEigenvalues:
 
     # The first grid refined from the closed-form levels carries no
     # bisection floor: the measured worst is 1.9e-12 (wide), 8.8e-13
-    # (V0 = 1e4) and 2.0e-12 (V0 = 5e5), against 4.7e-11, 3.7e-10 and
-    # 1.1e-9 with the first grid bisected.
+    # (V0 = 1e4) and 2.0e-12 (V0 = 5e5) from N = 4000, and 7.3e-13, 6.2e-13
+    # and 2.0e-12 from N = 3999, against 4.7e-11, 3.7e-10 and 1.1e-9 from
+    # N = 4000 and 1.4e-10, 1.0e-10 and 3.0e-9 from N = 3999 with the first
+    # grid bisected.
     @pytest.mark.parametrize(
         "well",
         [
@@ -130,13 +132,16 @@ class TestSolveEigenvalues:
     )
     def test_closed_form_centred_accuracy(self, request, well):
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        spectrum = solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
         expected = closed_energies(params, 10)
-        assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-11
+        for n_points in (4000, 3999):
+            grid = GridSpec(n_points, richardson_levels=3, level_count=10)
+            spectrum = solve_eigenvalues(params, grid)
+            assert np.max(np.abs(spectrum.eigenvalues - expected) / expected) <= 1e-11
 
-    # A window reaching above a quarter of the first grid's nodes takes no
-    # closed-form centres, so its first grid is solved by index.
-    def test_window_above_quarter_is_solved_by_index(self, unit_well):
+    # Level 1001 on 4000 nodes lies 5.0 % below its closed-form energy, many
+    # level spacings away, so the certificate rejects the closed-form
+    # centres of both blocks and the first grid is solved by index.
+    def test_uncertified_window_falls_back_to_index_solve(self, unit_well):
         grid = GridSpec(4000, richardson_levels=1, level_count=1001)
         spectrum = solve_eigenvalues(unit_well, grid)
         expected = oracle._fd_levels(unit_well, 4000, 1, 1001)[0]
@@ -230,14 +235,24 @@ class TestNumericalPressure:
         numeric = numerical_pressure(params, n, use_eigenvalues=True)
         assert numeric == pytest.approx(levels(params, n).pressure_total, rel=1e-6)
 
-    # Level 1001 lies above a quarter of the N = 4000 grid's nodes, so that
-    # grid is solved by index and hands its vectors to the N = 8001 grid.
-    def test_level_above_quarter_is_solved_by_index(self, unit_well):
+    # Level 1001 on the N = 4000 grid lies 5.0 % below its closed-form
+    # energy, so the certificate rejects that centre, and the grid is solved
+    # by index and hands its vectors to the N = 8001 grid.
+    def test_uncertified_level_falls_back_to_index_solve(self, unit_well):
         n = 1001
         energy, pressure, seeds = oracle._fd_levels(unit_well, 4000, n, n, vectors=True)
         finer = oracle._fd_levels(unit_well, 8001, n, n, True, centres=energy, seeds=seeds)[1]
         expected = oracle._richardson([pressure[0], finer[0]], oracle._wall_exponents(unit_well))
         assert numerical_pressure(unit_well, n, use_eigenvalues=True) == expected[0]
+
+    # At V0 / T = 2e8 the step at the certified energy of level 1 on the
+    # N = 4000 grid meets an exactly zero pivot, that energy being an
+    # eigenvalue of the block to working precision, and the certified vector
+    # is kept.  Measured error 7.5e-8; it used to raise gtsv info 2000.
+    def test_zero_pivot_keeps_certified_vector(self):
+        params = PTParameters(mass=1.0, well_depth=1e8, half_width=math.pi / 2)
+        numeric = numerical_pressure(params, 1, use_eigenvalues=True)
+        assert numeric == pytest.approx(levels(params, 1).pressure_total, rel=1e-6)
 
     def test_level_above_fixed_grid_is_invalid(self, unit_well):
         # the coarser fixed grid has 4000 nodes
@@ -458,8 +473,9 @@ class TestBracketedSolve:
             assert np.max(np.abs(pressures - expected_pressures)) <= bound
 
     # No block is solved by index: every block of the first grid, N = 4000,
-    # certifies from the closed-form levels, and every later block from the
-    # grids before it, on the deepest well, V0 / T = 1e6, too.
+    # and of the coarser first grids N = 3999 and 2000, certifies from the
+    # closed-form levels, and every later block from the grids before it, on
+    # the deepest well, V0 / T = 1e6, too.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
@@ -472,8 +488,9 @@ class TestBracketedSolve:
 
         params = request.getfixturevalue(well) if isinstance(well, str) else well
         monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
-        solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
-        assert sizes == []
+        for n_points in (4000, 3999, 2000):
+            solve_eigenvalues(params, GridSpec(n_points, richardson_levels=3, level_count=10))
+            assert sizes == []
         for n in range(1, 6):
             numerical_pressure(params, n, use_eigenvalues=True)
             assert sizes == []
@@ -571,12 +588,14 @@ class TestBracketedSolve:
             block = 4001 if n % 2 else 4000
             assert calls == [("gtsv", 2000)] * 4 + [("gtsv", block)] * 2
 
-    # A first grid under _MIN_CENTRED_POINTS nodes takes no closed-form
-    # centres, so its blocks are solved by index; from 4000 nodes none is.
-    @pytest.mark.parametrize(
-        "n_points, blocks", [(64, [32, 32]), (3999, [2000, 1999]), (4000, [])]
-    )
-    def test_centred_only_from_4000_nodes(self, unit_well, n_points, blocks, monkeypatch):
+    # Every first grid takes the closed-form levels as centres.  On 64 nodes
+    # levels 1-10 lie up to 2.2 % off them, and the certificate rejects
+    # both blocks, which are solved by index; on 3999 and 4000 nodes both
+    # blocks certify.
+    @pytest.mark.parametrize("n_points, blocks", [(64, [32, 32]), (3999, []), (4000, [])])
+    def test_coarse_first_grid_falls_back_to_index_solve(
+        self, unit_well, n_points, blocks, monkeypatch
+    ):
         stebz, stein, gtsv = oracle._lapack()
         sizes = []
 
@@ -805,8 +824,8 @@ class TestNonFiniteHamiltonian:
 
 
 class TestEigensolverFailure:
-    # the first stebz call reports info = 1: the index solve of the 64-node
-    # grid, or a Sturm count of the certificate on the pressure's first grid
+    # the first stebz call reports info = 1: a Sturm count of the
+    # certificate on the first grid, 64 or 4000 nodes
     @pytest.fixture(autouse=True)
     def failing_eigensolver(self, monkeypatch):
         fail_lapack_routine(monkeypatch, "stebz")
