@@ -17,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InvalidParameterError
-from .parameters import PTParameters, check_finite, check_single_level, derive_scales
+from .parameters import PTParameters, check_count, check_finite, check_single_level, derive_scales
 
 __all__ = [
     "FP_REGIME",
@@ -40,13 +38,6 @@ _REGIME_GUARDS = {
     FP_REGIME: (-math.inf, 0.25, "box limit requires well_depth / kinetic_scale < 0.25"),
     HO_REGIME: (4.0, math.inf, "oscillator limit requires well_depth / kinetic_scale > 4.0"),
 }
-
-
-def _check_order(order, allowed: tuple, name: str) -> None:
-    """Raise :class:`InvalidParameterError` unless ``order`` is an integer
-    in ``allowed``; a bool or a float equal to one is rejected."""
-    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order not in allowed:
-        raise InvalidParameterError(f"{name} must be an integer in {allowed}, got {order!r}")
 
 
 def _regime_scales(params: PTParameters, regime: str) -> tuple:
@@ -80,7 +71,7 @@ class LimitExpansion:
     def __post_init__(self) -> None:
         if self.lambda_approx < 0.0:
             raise InvalidParameterError("series value of lambda must be >= 0")
-        _check_order(self.order_kept, (1, 2, 3), "order_kept")
+        check_count("order_kept", self.order_kept, 1, 3)
 
     def energy(self, n: int) -> float:
         """Approximate level energy at this expansion order.
@@ -103,7 +94,7 @@ def fp_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     order 1: lambda ~ x/2;  order 2: lambda ~ (x/2)(1 - x/4), i.e.
     hbar*omega ~ 2 V0 (1 - V0/T).  Requires V0 / T < 1/4.
     """
-    _check_order(order, (1, 2), "box-side expansion order")
+    check_count("box-side expansion order", order, 1, 2)
     scales, depth_ratio = _regime_scales(params, FP_REGIME)
     x = 4.0 * depth_ratio
     lam = 0.5 * x
@@ -125,7 +116,7 @@ def ho_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     lambda ~ lt - 1 + 1/(2 lt), i.e. hbar*omega ~ hw~ - T + T^2/(2 hw~)
     with hw~ = 2 sqrt(V0 T).  Requires V0 / T > 4.
     """
-    _check_order(order, (1, 2, 3), "oscillator-side expansion order")
+    check_count("oscillator-side expansion order", order, 1, 3)
     scales, depth_ratio = _regime_scales(params, HO_REGIME)
     lam_tilde = 2.0 * math.sqrt(depth_ratio)
     lam = lam_tilde

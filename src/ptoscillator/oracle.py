@@ -50,11 +50,11 @@ suffices (Ipsen, SIAM Rev. 39, 254 (1997)).  A grid solved with vectors,
 by index or refined, hands them to the next, whose nodes hold the coarse
 ones at every other node: they are O(h^2) approximations of the finer
 vectors and, interpolated linearly onto the finer nodes, start its
-iteration.  From them a block takes one step, and one more when its
-certificate below fails; without them, as on the first grid, or after a
-grid solved by index for energies alone, it takes three from a fixed
-ramp.  The level's energy is the vector's Rayleigh quotient, whose error
-is second order in the vector's (Parlett, ch. 4 and 10), summed as
+iteration; without them, as on the first grid or after a grid solved by
+index for energies alone, a fixed ramp does.  Every block follows one
+rule: it takes one step and then tries its certificate below, at most
+three times.  The level's energy is the vector's Rayleigh quotient, whose
+error is second order in the vector's (Parlett, ch. 4 and 10), summed as
 
     theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
 
@@ -86,12 +86,14 @@ A block that fails any check is solved by index.  ``convergence_study``
 solves every grid by index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
-leading error terms: h^2 and h^4, or, for 0 < V0 / T < 3/4, the wall term
-h^q, q = sqrt(1 + 4 V0 / T), and h^2 (Sidi, Practical Extrapolation
-Methods, CUP 2003, on non-integer exponents).  Level pressures come from
-the Hellmann-Feynman identity on each grid: in the scaled coordinate
-x = L u the matrix is K / L^2 + V(u) with V(u) independent of L, so the
-discrete level obeys
+leading error terms, the two smallest of the bulk h^2 and h^4 and, for
+V0 > 0, the wall term h^q, q = sqrt(1 + 4 V0 / T): h^q and h^2 for
+V0 / T < 3/4, h^2 and h^q for 3/4 <= V0 / T < 15/4 (h^2 twice at q = 2,
+where the two make an h^2 log h term), and h^2 and h^4 beyond (Sidi,
+Practical Extrapolation Methods, CUP 2003, on non-integer exponents and
+log terms).  Level pressures come from the Hellmann-Feynman identity on
+each grid: in the scaled coordinate x = L u the matrix is K / L^2 + V(u)
+with V(u) independent of L, so the discrete level obeys
 
     -dE_h/dL = (2 / L) (E_h - sum_i V_i psi_i^2)
 
@@ -114,7 +116,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidParameterError, ResourceLimitError
-from .parameters import PTParameters, check_single_level, potential
+from .parameters import PTParameters, check_count, check_single_level, potential
 from .spectra import levels
 
 __all__ = [
@@ -149,22 +151,9 @@ class GridSpec:
     level_count: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("interior_points", "richardson_levels", "level_count"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if self.interior_points < _MIN_GRID_POINTS:
-            raise InvalidParameterError(
-                f"interior_points must be >= {_MIN_GRID_POINTS}, got {self.interior_points!r}"
-            )
-        if self.richardson_levels not in (1, 2, 3):
-            raise InvalidParameterError(
-                f"richardson_levels must be 1, 2 or 3, got {self.richardson_levels!r}"
-            )
-        if self.level_count < 1:
-            raise InvalidParameterError(
-                f"level_count must be >= 1, got {self.level_count!r}"
-            )
+        check_count("interior_points", self.interior_points, _MIN_GRID_POINTS)
+        check_count("richardson_levels", self.richardson_levels, 1, 3)
+        check_count("level_count", self.level_count, 1)
         finest = self.grid_sequence()[-1]
         if finest > MAX_GRID_POINTS:
             raise ResourceLimitError(
@@ -304,15 +293,15 @@ def _interpolated(vectors, size: int, parity: int) -> np.ndarray:
     return padded[1:-1]
 
 
-def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple, converge: bool):
+def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool):
     """Eigenvalues low, low + 1, ... of one block and their unit vectors,
     from inverse iteration at ``centres`` and the vectors' Rayleigh
     quotients, or None when the certificate of the module docstring fails.
 
     Each step is one ``gtsv`` solve of (T - centre) y = u per column, from
     the columns of ``initial``, which it overwrites, or from a ramp when it
-    is None.  ``steps`` holds the number of steps taken before each try of
-    the certificate; a failure of the last try returns None.  With
+    is None.  The block takes one step and then tries the certificate, at
+    most three times; a failure of the third try returns None.  With
     ``converge``, a certified block's vectors take one more step, each at
     its certified energy, and keep the certified vector where that step
     meets a zero pivot."""
@@ -329,17 +318,14 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple, c
     if vector is None:  # one column per centre
         vector = np.tile(np.arange(1.0, diagonal.size + 1), (centres.size, 1)).T
 
-    def iterate(number, shifts, converging=False):
+    def iterate(shifts, converging=False):
         for j, shift in enumerate(shifts):
-            column, shifted = vector[:, j], diagonal - shift
-            for _ in range(number):
-                *_, solved, info = gtsv(off_diagonal, shifted, off_diagonal, column)
-                if info and converging:  # a zero pivot: the shift is an eigenvalue
-                    break
-                if info:
-                    raise ConvergenceError(f"tridiagonal eigensolver failed: gtsv info {info}")
-                column = solved / np.linalg.norm(solved)
-            vector[:, j] = column
+            *_, solved, info = gtsv(off_diagonal, diagonal - shift, off_diagonal, vector[:, j])
+            if info and converging:  # a zero pivot: the shift is an eigenvalue
+                continue
+            if info:
+                raise ConvergenceError(f"tridiagonal eigensolver failed: gtsv info {info}")
+            vector[:, j] = solved / np.linalg.norm(solved)
 
     def times(diagonal, off_diagonal, column):
         product = diagonal * column
@@ -384,12 +370,12 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, steps: tuple, c
             return None
         return energies, vector
 
-    for number in steps:
-        iterate(number, centres)
+    for _ in range(3):
+        iterate(centres)
         solution = certified()
         if solution is not None:
             if converge:
-                iterate(1, solution[0], converging=True)
+                iterate(solution[0], converging=True)
             return solution
     return None
 
@@ -414,8 +400,8 @@ def _fd_levels(
     predicted energies of the wanted levels, let each block take them from
     inverse iteration; a block they do not certify is solved by index.
     ``seeds``, the block vectors this returned on the grid before, start
-    that iteration: one step, and one more for a block that fails its
-    certificate, against three from a ramp.  For the pressures, which are
+    that iteration, else a ramp does; either way the block steps and tries
+    its certificate at most three times.  For the pressures, which are
     first order in the vector, a certified block's vectors take one more
     step at their certified energies.
     """
@@ -430,13 +416,10 @@ def _fd_levels(
         wanted = slice(2 * low + parity + 1 - first, None, 2)
         solution = None
         if centres is not None:
-            initial, steps = None, (3,)
-            if seeds[parity] is not None:
-                initial = _interpolated(seeds[parity], diagonal.size, parity)
-                steps = (1, 1)
-            solution = _refined(
-                diagonal, off_diagonal, low, centres[wanted], initial, steps, vectors
-            )
+            initial = seeds[parity]
+            if initial is not None:
+                initial = _interpolated(initial, diagonal.size, parity)
+            solution = _refined(diagonal, off_diagonal, low, centres[wanted], initial, vectors)
         if solution is None:
             solution = _indexed(diagonal, off_diagonal, low, high, vectors)
         energies[wanted], vector = solution
@@ -482,12 +465,14 @@ def _wall_exponents(params: PTParameters) -> tuple:
     Near a wall V ~ V0 / (alpha d)^2 at distance d, so the level function
     goes as d^s with s (s - 1) = V0 / T, T = hbar^2 alpha^2 / (2 m), and
     the wall adds an error term h^q, q = 2 s - 1 = sqrt(1 + 4 V0 / T), to
-    the bulk h^2.  It leads when q < 2, i.e. V0 / T < 3/4; a box
-    (V0 = 0) has no wall term.
+    the bulk h^2 and h^4.  The two smallest of q, 2 and 4 lead: q is
+    among them when q < 4, i.e. V0 / T < 15/4, and (2, 2) at the unit
+    well's q = 2 removes its h^2 log h term; a box (V0 = 0) has no wall
+    term.
     """
     kinetic = (params.hbar * params.hbar) * (params.alpha * params.alpha) / (2.0 * params.mass)
-    if 0.0 < params.well_depth < 0.75 * kinetic:
-        return math.sqrt(1.0 + 4.0 * (params.well_depth / kinetic)), 2
+    if 0.0 < params.well_depth < 3.75 * kinetic:
+        return tuple(sorted((math.sqrt(1.0 + 4.0 * (params.well_depth / kinetic)), 2, 4))[:2])
     return 2, 4
 
 

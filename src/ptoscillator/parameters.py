@@ -88,6 +88,15 @@ class DerivedScales:
     n_critical: float
 
 
+def check_count(name: str, value, low: int, high: float = math.inf) -> None:
+    """Raise :class:`InvalidParameterError` unless ``value``, the count
+    ``name``, is a Python or numpy integer in [low, high]; a bool or a
+    float equal to one is rejected."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= value <= high):
+        raise InvalidParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+
+
 def check_level(n) -> np.ndarray:
     """Return ``n``, one int or an int array, as an array; reject any
     quantum number that is not an integer in [1, 2**64) (booleans

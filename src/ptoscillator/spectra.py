@@ -23,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .parameters import DerivedScales, PTParameters, check_finite, check_level, derive_scales
+from .parameters import (
+    DerivedScales,
+    PTParameters,
+    check_count,
+    check_finite,
+    check_level,
+    derive_scales,
+)
 
 __all__ = [
     "FP_DOMINATED",
@@ -102,10 +109,7 @@ def levels(params: PTParameters, n) -> Levels:
 
 def level_range(n_max: int) -> np.ndarray:
     """Levels 1..n_max of a table; n_max must lie in [1, 10^6]."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or not 1 <= n_max <= MAX_TABLE_LEVELS:
-        raise InvalidParameterError(
-            f"n_max must be an integer in [1, {MAX_TABLE_LEVELS}], got {n_max!r}"
-        )
+    check_count("n_max", n_max, 1, MAX_TABLE_LEVELS)
     return np.arange(1, n_max + 1)
 
 

@@ -356,10 +356,12 @@ class TestValidate:
         assert code == 3
         assert out == ""
 
+    # ten levels on 64 nodes breach the default tolerance: worst energy
+    # error 1.2e-5, where two levels read below 1e-6
     def test_json_reports_status(self, capsys):
         code, out = run_cli(
             capsys,
-            ["validate", *UNIT_WELL_FLAGS, "--grid-n", "64", "--levels", "2",
+            ["validate", *UNIT_WELL_FLAGS, "--grid-n", "64", "--levels", "10",
              "--format", "json"],
         )
         assert code == 4
@@ -407,7 +409,7 @@ class TestConfigFile:
             encoding="utf-8",
         )
         code, out = run_cli(
-            capsys, ["validate", "--config", str(config), "--grid-n", "64", "--levels", "2"]
+            capsys, ["validate", "--config", str(config), "--grid-n", "64", "--levels", "10"]
         )
         assert code == 4
 

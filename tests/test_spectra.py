@@ -206,8 +206,9 @@ class TestSpectrumTable:
         assert row.regime_ratio == level.regime_ratio
 
     def test_unit_well_energies(self, unit_well):
-        table = spectrum_table(unit_well, 3)
-        assert [row.energy_total for row in table.rows] == [0.75, 2.75, 5.75]
+        for n_max in (3, np.int64(3)):
+            table = spectrum_table(unit_well, n_max)
+            assert [row.energy_total for row in table.rows] == [0.75, 2.75, 5.75]
 
     def test_rejects_out_of_range_n_max(self, unit_well):
         with pytest.raises(InvalidParameterError):
