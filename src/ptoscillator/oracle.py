@@ -40,9 +40,11 @@ the Kato-Temple bound; Parlett, The Symmetric Eigenvalue Problem, SIAM
 1998, ch. 10), so a centre that does not certify, as on coarse grids, on
 the deepest wells or above about level N / 4, costs at most a fallback
 to the index solve and never enters a result.  Each later grid has them
-placed to about 1e-5 relative by the grids before it: at the coarser
-energy on the second grid, and on the third at c2 + (c2 - c1) / 2^p, p
-the leading exponent below.  A unit vector u of each placed level is
+placed at the energies of the grid before it, which on grids of 4000
+nodes and more lie within about 1e-5 relative of its own.  Nothing else
+judges a centre: its order and range need no check of their own, as the
+certificate's fenced discs and Sturm counts reject centres that do not
+place each wanted level.  A unit vector u of each placed level is
 taken by inverse iteration at its centre, each step one ``gtsv`` solve,
 LU with partial pivoting, of the shifted block.  From a start close to
 the level's vector, at a shift this close to its eigenvalue, one step
@@ -311,9 +313,6 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
     rows[:-1] += magnitude
     rows[1:] += magnitude
     norm = rows.max()  # ||T||_inf, so -norm lies below every eigenvalue
-    # finite centres in ascending order, as disc j must hold eigenvalue low + j
-    if not (-norm < centres[0] and np.all(centres[:-1] < centres[1:]) and centres[-1] < norm):
-        return None
     vector = initial
     if vector is None:  # one column per centre
         vector = np.tile(np.arange(1.0, diagonal.size + 1), (centres.size, 1)).T
@@ -397,8 +396,9 @@ def _fd_levels(
     Level l is eigenvalue (l - 1) // 2 of block (l - 1) % 2, and a block
     with no wanted level is skipped.  A unit block eigenvector u gives the
     full-grid sum_i V_i psi_i^2 as ``values @ u**2``.  ``centres``, the
-    predicted energies of the wanted levels, let each block take them from
-    inverse iteration; a block they do not certify is solved by index.
+    closed-form levels or the coarser grid's energies of the wanted levels,
+    let each block take them from inverse iteration; the certificate alone
+    judges them, and a block they do not certify is solved by index.
     ``seeds``, the block vectors this returned on the grid before, start
     that iteration, else a ramp does; either way the block steps and tries
     its certificate at most three times.  For the pressures, which are
@@ -429,33 +429,22 @@ def _fd_levels(
     return energies, pressures, tuple(solved)
 
 
-def _centres(energies: list, exponent: float) -> np.ndarray:
-    """Predicted energies of the levels on the next grid, from their
-    energies on the grids before it: the one coarser energy, else the last
-    plus the step to the next grid predicted from the last two,
-    h^``exponent`` with h halving."""
-    if len(energies) == 1:
-        return energies[0]
-    return energies[-1] + (energies[-1] - energies[-2]) / 2.0**exponent
-
-
 def _grid_levels(
     params: PTParameters, sizes: tuple, first: int, last: int, vectors: bool
 ) -> tuple:
     """Energies, and with ``vectors`` pressures, else None, of levels
     ``first``..``last`` on each grid of ``sizes``, coarse first.
 
-    The first grid takes its centres from the closed-form levels and each
-    later grid from the grids before it; a block they do not certify is
-    solved by index."""
-    exponent = _wall_exponents(params)[0]
+    The first grid is centred on the closed-form levels and each later
+    grid on the energies of the grid before it; a block its centres do not
+    certify is solved by index."""
     energies, pressures, seeds = [], [], (None, None)
     centres = levels(params, np.arange(first, last + 1)).energy_total
     for size in sizes:
         energy, pressure, seeds = _fd_levels(params, size, first, last, vectors, centres, seeds)
         energies.append(energy)
         pressures.append(pressure)
-        centres = _centres(energies, exponent)
+        centres = energy
     return energies, pressures
 
 

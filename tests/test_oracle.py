@@ -377,8 +377,8 @@ class TestParityFold:
         np.testing.assert_allclose(pressures, full, rtol=1e-6)
 
 
-# The finer grid takes each level from inverse iteration at a centre
-# predicted from the coarser grid, once its Rayleigh quotient is certified.
+# The finer grid takes each level from inverse iteration at the
+# coarser grid's energy, once its Rayleigh quotient is certified.
 WINDOWS = [(1, 10), (3, 7)] + [(n, n) for n in range(1, 6)]
 
 # V0 / T from 2e-3 to 1e6 at L = pi/2, where T = 1/2; V0 = 50, 1e4 and 5e5
@@ -422,13 +422,6 @@ class TestIndexSolve:
         assert np.array_equal(pressures, expected_pressures)
 
 
-def coarse_centres(params: PTParameters, n_points: int, first: int, last: int):
-    """Centres of levels ``first``..``last`` on the grid after one of
-    ``n_points`` nodes, predicted from that grid's energies."""
-    energies = oracle._fd_levels(params, n_points, first, last)[0]
-    return oracle._centres([energies], oracle._wall_exponents(params)[0])
-
-
 # The Hellmann-Feynman pressure is first order in the vector, so a refined
 # block takes one more step at its certified energies for it, and the
 # refined pressures are held to the index solve's within 2 floor / L, as the
@@ -470,8 +463,7 @@ class TestBracketedSolve:
         if coarse == "closed":
             centres = levels(params, np.arange(first, last + 1)).energy_total
         else:
-            coarse_energies, _, seeds = oracle._fd_levels(params, coarse, first, last, True)
-            centres = oracle._centres([coarse_energies], oracle._wall_exponents(params)[0])
+            centres, _, seeds = oracle._fd_levels(params, coarse, first, last, True)
         energies, pressures, _ = oracle._fd_levels(
             params, fine, first, last, vectors=True, centres=centres
         )
@@ -615,7 +607,8 @@ class TestBracketedSolve:
     # Every first grid takes the closed-form levels as centres.  On 64 nodes
     # levels 1-10 lie up to 2.2 % off them, and the certificate rejects
     # both blocks, which are solved by index; on 3999 and 4000 nodes both
-    # blocks certify.
+    # blocks certify, and so does every later grid from the energies of the
+    # grid before it, on every well of test_certified_blocks_skip_index_solve.
     @pytest.mark.parametrize("n_points, blocks", [(64, [32, 32]), (3999, []), (4000, [])])
     def test_coarse_first_grid_falls_back_to_index_solve(
         self, unit_well, n_points, blocks, monkeypatch
@@ -645,7 +638,6 @@ class TestBracketedSolve:
             centres *= 1.3
         elif wrong == "nan":
             centres[:2] = np.nan
-        centres = oracle._centres([centres], oracle._wall_exponents(params)[0])
         energies, pressures, _ = oracle._fd_levels(
             params, 8001, first, last, vectors=True, centres=centres
         )
@@ -695,7 +687,7 @@ class TestBracketedSolve:
     @pytest.mark.parametrize("well, first, last", [("unit_well", 1, 10), ("wide_well", 3, 3)])
     def test_temple_bound_rejects_unconverged_vectors(self, request, well, first, last):
         params = request.getfixturevalue(well)
-        centres = coarse_centres(params, 64, first, last)
+        centres = oracle._fd_levels(params, 64, first, last)[0]
         energies, pressures, _ = oracle._fd_levels(
             params, 129, first, last, vectors=True, centres=centres
         )
@@ -835,15 +827,18 @@ class TestConvergenceStudy:
 
 
 class TestNonFiniteHamiltonian:
-    # kinetic scale hbar^2 / (2 m h^2) overflows to inf
-    params = PTParameters(mass=1e-300, well_depth=1.0, half_width=1e-5)
+    # A box with T = 1e305, whose closed-form levels, E_5 = 2.5e306, are
+    # finite, so the first grid's centres are found; on 4000 nodes the
+    # kinetic scale hbar^2 / (2 m h^2) overflows to inf.
+    params = PTParameters(mass=1.0, well_depth=0.0, half_width=1.0, hbar=2.8470501736687084e152)
+    message = "finite-difference Hamiltonian on 4000 points leaves the floating-point range"
 
     def test_eigensolve_is_domain_error(self):
-        with pytest.raises(DomainError):
-            solve_eigenvalues(self.params, GridSpec(64))
+        with pytest.raises(DomainError, match=self.message):
+            solve_eigenvalues(self.params, GridSpec(4000, richardson_levels=3, level_count=5))
 
     def test_pressure_is_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=self.message):
             numerical_pressure(self.params, 1, use_eigenvalues=True)
 
 
