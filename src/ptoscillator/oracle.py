@@ -28,34 +28,34 @@ alternate in parity, starting with even (Cantoni & Butler, Linear
 Algebra Appl. 13, 275 (1976)), so level n is the ((n - 1) // 2)-th
 eigenvalue of the even block for odd n and of the odd block for even n.
 
-A grid whose levels nothing places is solved by index, bisecting from
-the Gershgorin interval of each block (``stebz``, absolute tolerance
-eps ||T||, and ``stein`` for the vectors, the calls of scipy's
-``eigh_tridiagonal``).  The first grid of ``solve_eigenvalues`` and of
-the Hellmann-Feynman pressure below has them placed by the closed-form
-spectrum E_n = T n^2 + hbar omega (n - 1/2) of ``spectra.levels``.  The
-check does not lean on it: the certificate below accepts an energy from
-the finite-difference block alone (residual discs, two Sturm counts and
-the Kato-Temple bound; Parlett, The Symmetric Eigenvalue Problem, SIAM
-1998, ch. 10), so a centre that does not certify, as on coarse grids, on
-the deepest wells or above about level N / 4, costs at most a fallback
-to the index solve and never enters a result.  Each later grid has them
-placed at the energies of the grid before it, which on grids of 4000
-nodes and more lie within about 1e-5 relative of its own.  Nothing else
-judges a centre: its order and range need no check of their own, as the
+Each grid is solved from centres that place its levels: on the first
+grid of ``solve_eigenvalues`` and of the Hellmann-Feynman pressure
+below, and on every grid of ``convergence_study``, the closed-form
+spectrum E_n = T n^2 + hbar omega (n - 1/2) of ``spectra.levels``; on
+each later grid the energies of the grid before it, within about 1e-5
+relative of its own from 4000 nodes on.  The check does not lean on
+them: the certificate below accepts an energy from the finite-difference
+block alone (residual discs, two Sturm counts and the Kato-Temple bound;
+Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 10), so a
+centre that does not certify, as on coarse grids, on the deepest wells
+or above about level N / 4, costs at most a fallback to the index solve,
+bisection from the Gershgorin interval of the block (``stebz``, absolute
+tolerance eps ||T||) and ``stein`` for the vectors, the calls of scipy's
+``eigh_tridiagonal``, and never enters a result.  Nothing else judges a
+centre: its order and range need no check of their own, as the
 certificate's fenced discs and Sturm counts reject centres that do not
-place each wanted level.  A unit vector u of each placed level is
-taken by inverse iteration at its centre, each step one ``gtsv`` solve,
-LU with partial pivoting, of the shifted block.  From a start close to
-the level's vector, at a shift this close to its eigenvalue, one step
-suffices (Ipsen, SIAM Rev. 39, 254 (1997)).  A grid solved with vectors,
-by index or refined, hands them to the next, whose nodes hold the coarse
+place each wanted level.  A unit vector u of each placed level is taken
+by inverse iteration at its centre, each step one ``gtsv`` solve, LU
+with partial pivoting, of the shifted block.  From a start close to the
+level's vector, at a shift this close to its eigenvalue, one step
+suffices (Ipsen, SIAM Rev. 39, 254 (1997)).  Every grid, solved by index
+or refined, hands its vectors to the next, whose nodes hold the coarse
 ones at every other node: they are O(h^2) approximations of the finer
 vectors and, interpolated linearly onto the finer nodes, start its
-iteration; without them, as on the first grid or after a grid solved by
-index for energies alone, a fixed ramp does.  Every block follows one
-rule: it takes one step and then tries its certificate below, at most
-three times.  The level's energy is the vector's Rayleigh quotient, whose
+iteration; on a first grid, and on ``convergence_study``'s grids, whose
+sizes need not double, a fixed ramp does.  Every block follows one rule:
+it takes one step and then tries its certificate below, at most three
+times.  The level's energy is the vector's Rayleigh quotient, whose
 error is second order in the vector's (Parlett, ch. 4 and 10), summed as
 
     theta = sum_i r_i u_i^2 + sum_i |e_i| (u_i - u_{i+1})^2
@@ -84,8 +84,7 @@ accepted energy, a shift so close to its eigenvalue that the one step
 converges the vector.  count(x), the number of eigenvalues at or below
 x, is ``stebz`` in value mode on (-||T||_inf, x] with an absolute
 tolerance above that width, which stops after its endpoint Sturm counts.
-A block that fails any check is solved by index.  ``convergence_study``
-solves every grid by index.
+A block that fails any check is solved by index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
 leading error terms, the two smallest of the bulk h^2 and h^4 and, for
@@ -245,20 +244,18 @@ def _lapack():
     return module.dstebz, module.dstein, module.dgtsv
 
 
-def _indexed(diagonal, off_diagonal, low: int, high: int, vectors: bool):
-    """Eigenvalues low..high of one block by bisection, and with
-    ``vectors`` their unit vectors by inverse iteration, else None, from
-    the LAPACK calls of scipy's ``eigh_tridiagonal(select="i")``."""
+def _indexed(diagonal, off_diagonal, low: int, high: int):
+    """Eigenvalues low..high of one block by bisection and their unit
+    vectors by inverse iteration, from the LAPACK calls of scipy's
+    ``eigh_tridiagonal(select="i")``."""
     stebz, stein, _ = _lapack()
-    # block order when stein takes the eigenvalues, then ascending order
+    # block order, which stein takes, then ascending order
     found, energies, block, split, info = stebz(
-        diagonal, off_diagonal, 2, 0.0, 1.0, low + 1, high + 1, 0.0, "B" if vectors else "E"
+        diagonal, off_diagonal, 2, 0.0, 1.0, low + 1, high + 1, 0.0, "B"
     )
     if info:
         raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
     energies = energies[:found]
-    if not vectors:
-        return energies, None
     vector, info = stein(diagonal, off_diagonal, energies, block, split)
     if info:
         raise ConvergenceError(f"tridiagonal eigensolver failed: stein info {info}")
@@ -391,19 +388,20 @@ def _fd_levels(
     """Energies of levels ``first``..``last`` on one grid, solved per
     parity block, with ``vectors`` their exact -dE_h/dL, else None, and
     per block the unit vectors of its wanted levels, or None for a block
-    solved without them.
+    with none.
 
     Level l is eigenvalue (l - 1) // 2 of block (l - 1) % 2, and a block
     with no wanted level is skipped.  A unit block eigenvector u gives the
     full-grid sum_i V_i psi_i^2 as ``values @ u**2``.  ``centres``, the
     closed-form levels or the coarser grid's energies of the wanted levels,
     let each block take them from inverse iteration; the certificate alone
-    judges them, and a block they do not certify is solved by index.
-    ``seeds``, the block vectors this returned on the grid before, start
-    that iteration, else a ramp does; either way the block steps and tries
-    its certificate at most three times.  For the pressures, which are
-    first order in the vector, a certified block's vectors take one more
-    step at their certified energies.
+    judges them, and a block they do not certify, as every block without
+    them, is solved by index.  ``seeds``, the block vectors this returned
+    on the grid before by either route, start that iteration, else a ramp
+    does; either way the block steps and tries its certificate at most
+    three times.  For the pressures, first order in the vector, a
+    certified block's vectors take one more step at their certified
+    energies.
     """
     energies = np.empty(last - first + 1)
     pressures = np.empty_like(energies) if vectors else None
@@ -421,7 +419,7 @@ def _fd_levels(
                 initial = _interpolated(initial, diagonal.size, parity)
             solution = _refined(diagonal, off_diagonal, low, centres[wanted], initial, vectors)
         if solution is None:
-            solution = _indexed(diagonal, off_diagonal, low, high, vectors)
+            solution = _indexed(diagonal, off_diagonal, low, high)
         energies[wanted], vector = solution
         solved[parity] = vector
         if vectors:
@@ -547,7 +545,8 @@ class ConvergenceReport:
 def convergence_study(
     params: PTParameters, grid_sizes: list[int], level_count: int
 ) -> ConvergenceReport:
-    """Fit per-level convergence slopes over a sequence of grids."""
+    """Fit per-level convergence slopes over a sequence of grids, each
+    centred on the closed-form levels, which the certificate alone judges."""
     if len(grid_sizes) < 2:
         raise InvalidParameterError("at least two grid sizes are required")
     for size in grid_sizes:
@@ -558,7 +557,7 @@ def convergence_study(
     spacings = []
     errors = []
     for size in sorted(grid_sizes):
-        numeric = _fd_levels(params, size, 1, level_count)[0]
+        numeric = _fd_levels(params, size, 1, level_count, centres=closed)[0]
         spacings.append(2.0 * params.half_width / (size + 1))
         errors.append(np.abs(numeric - closed))
     error_matrix = np.array(errors)

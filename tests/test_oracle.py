@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -393,7 +394,8 @@ RATIO_WELLS = [
 
 
 # Without centres every block is solved by index with the LAPACK calls of
-# scipy's eigh_tridiagonal(select="i"), so its bits come back.
+# scipy's eigh_tridiagonal(select="i"), vectors included, so its bits come
+# back; the energies alone too, as bisection orders them only at its end.
 class TestIndexSolve:
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     @pytest.mark.parametrize("n_points", [64, 999, 4000])
@@ -572,8 +574,7 @@ class TestBracketedSolve:
     # grid level 1 alone certifies after one step, except on the wells of
     # TWO_STEP_GROUND, so it takes two or three solves and every other
     # level three; on its N = 8001 grid, from the N = 4000 vectors, two.
-    # stein, which runs only in an index solve with vectors, is never
-    # called.
+    # stein, which runs only in an index solve, is never called.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_solves_per_level(self, request, well, monkeypatch):
         stebz, stein, gtsv = oracle._lapack()
@@ -604,14 +605,33 @@ class TestBracketedSolve:
             block = 4001 if n % 2 else 4000
             assert calls == [("gtsv", 2000)] * (steps + 1) + [("gtsv", block)] * 2
 
-    # Every first grid takes the closed-form levels as centres.  On 64 nodes
-    # levels 1-10 lie up to 2.2 % off them, and the certificate rejects
-    # both blocks, which are solved by index; on 3999 and 4000 nodes both
-    # blocks certify, and so does every later grid from the energies of the
-    # grid before it, on every well of test_certified_blocks_skip_index_solve.
-    @pytest.mark.parametrize("n_points, blocks", [(64, [32, 32]), (3999, []), (4000, [])])
+    # Every first grid takes the closed-form levels as centres.  On 64 and
+    # 128 nodes levels 1-10 lie up to 2.2 % off them, and the certificate
+    # rejects both blocks, which are solved by index with their vectors.
+    # Those start the next grid's iteration at the index-solved energies,
+    # so from 128 nodes every later block certifies; from 64 nodes on the
+    # unit well the 129-node grid falls back once more.  On 3999 and 4000
+    # nodes every block certifies, on every well of
+    # test_certified_blocks_skip_index_solve.  The wide well and V0 / T >= 10
+    # still fall back on later grids from 128 nodes.
+    @pytest.mark.parametrize(
+        "well, n_points, blocks",
+        [
+            pytest.param("unit_well", 64, [32, 32, 65, 64], id="64-blocks0"),
+            pytest.param("unit_well", 3999, [], id="3999-blocks1"),
+            pytest.param("unit_well", 4000, [], id="4000-blocks2"),
+        ]
+        + [
+            pytest.param(well, 128, [64, 64], id=f"128-{well}")
+            for well in ("unit_well", "shallow_well", "box")
+        ]
+        + [
+            pytest.param(*well.values, 128, [64, 64], id=f"128-{well.id}")
+            for well in RATIO_WELLS[:7]  # V0 / T from 2e-3 to 3
+        ],
+    )
     def test_coarse_first_grid_falls_back_to_index_solve(
-        self, unit_well, n_points, blocks, monkeypatch
+        self, request, well, n_points, blocks, monkeypatch
     ):
         stebz, stein, gtsv = oracle._lapack()
         sizes = []
@@ -621,9 +641,10 @@ class TestBracketedSolve:
                 sizes.append(diagonal.size)
             return stebz(diagonal, off_diagonal, mode, *args)
 
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
         monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
-        solve_eigenvalues(unit_well, GridSpec(n_points, richardson_levels=3, level_count=10))
-        assert sizes[:2] == blocks
+        solve_eigenvalues(params, GridSpec(n_points, richardson_levels=3, level_count=10))
+        assert sizes == blocks
 
     # Centres on the next level of the block, scaled by 1.3, or NaN in each
     # block fail certification, and the index solve's bits come back.
@@ -795,6 +816,47 @@ class TestConvergenceStudy:
         assert convergence_study(unit_well, [500, 1000], level_count=1).expected_order == 2.0
         report = convergence_study(shallow_well, [500, 1000], level_count=1)
         assert report.expected_order == pytest.approx(math.sqrt(1.04), rel=1e-14)
+
+    # Each grid is centred on the closed-form levels, the very values the
+    # errors are measured against, but the certificate accepts an energy
+    # from the finite-difference block alone: centres 1 % high, one level up
+    # or NaN cost at most an index solve, whose energies lie within the
+    # bisection floor of the certified ones (measured worst: 0.23 of it).
+    @pytest.mark.parametrize(
+        "well",
+        [
+            "unit_well",
+            "wide_well",
+            pytest.param(
+                PTParameters(mass=1.0, well_depth=5e5, half_width=math.pi / 2), id="V0=5e5"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("wrong", ["high", "next", "nan"])
+    def test_errors_do_not_follow_centres(self, request, well, wrong, monkeypatch):
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        sizes = [500, 1000, 2000]
+        expected = convergence_study(params, sizes, level_count=3).errors
+        shift, scale = {"high": (0, 1.01), "next": (1, 1.0), "nan": (0, math.nan)}[wrong]
+        fd_levels = oracle._fd_levels
+        calls = []
+
+        def wrong_centres(well_params, n_points, first, last, *args, centres, **kwargs):
+            calls.append(n_points)
+            closed = levels(well_params, np.arange(first + shift, last + shift + 1))
+            centres = closed.energy_total * scale
+            return fd_levels(well_params, n_points, first, last, *args, centres=centres, **kwargs)
+
+        monkeypatch.setattr(oracle, "_fd_levels", wrong_centres)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = convergence_study(params, sizes, level_count=3).errors
+        assert calls == sizes
+        floors = [
+            max(bisection_floor(*block[1:]) for block in oracle._parity_blocks(params, size, 1))
+            for size in sizes
+        ]
+        assert np.all(np.abs(errors - expected) <= np.array(floors)[:, None])
 
     def test_grid_ordering_normalized(self, unit_well):
         report = convergence_study(unit_well, [2000, 500, 1000], level_count=1)
