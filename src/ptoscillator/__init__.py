@@ -10,13 +10,7 @@ from .errors import (
     QuadratureError,
     ResourceLimitError,
 )
-from .limits import (
-    FP_REGIME,
-    HO_REGIME,
-    LimitExpansion,
-    fp_limit_expansion,
-    ho_limit_expansion,
-)
+from .limits import LimitExpansion, fp_limit_expansion, ho_limit_expansion
 from .oracle import (
     ConvergenceReport,
     GridSpec,
@@ -65,8 +59,6 @@ __all__ = [
     "FP_DOMINATED",
     "HO_DOMINATED",
     "CROSSOVER",
-    "FP_REGIME",
-    "HO_REGIME",
     "LimitExpansion",
     "fp_limit_expansion",
     "ho_limit_expansion",

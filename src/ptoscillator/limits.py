@@ -8,8 +8,11 @@ Both regimes are series expansions of the shape parameter
 
 graded so that order k keeps every term through the k-th power of the
 regime's small parameter (x on the box side; alpha, equivalently 1/lt,
-on the oscillator side).  The limiting equations of state are
-P = s E / L with s = 2 (box) and s = 1 (oscillator).
+on the oscillator side).  Each series is a :class:`LimitExpansion`
+of three numbers, lambda, hbar*omega = T lambda and the n^2 coefficient
+``box_scale``, whose level energy is box_scale n^2 + hbar*omega (n - 1/2).
+The limiting equations of state are P = s E / L with s = 2 (box) and
+s = 1 (oscillator).
 """
 
 from __future__ import annotations
@@ -21,29 +24,16 @@ from .errors import DomainError, InvalidParameterError
 from .parameters import PTParameters, check_count, check_finite, check_single_level, derive_scales
 
 __all__ = [
-    "FP_REGIME",
-    "HO_REGIME",
     "LimitExpansion",
     "fp_limit_expansion",
     "ho_limit_expansion",
 ]
 
-FP_REGIME = "FP"
-HO_REGIME = "HO"
 
-# Validity region of each regime: an open interval of V0 / T.  The
-# underlying statements are only asymptotic; these cut points keep the
-# leading neglected term below a few percent.
-_REGIME_GUARDS = {
-    FP_REGIME: (-math.inf, 0.25, "box limit requires well_depth / kinetic_scale < 0.25"),
-    HO_REGIME: (4.0, math.inf, "oscillator limit requires well_depth / kinetic_scale > 4.0"),
-}
-
-
-def _regime_scales(params: PTParameters, regime: str) -> tuple:
+def _regime_scales(params: PTParameters, low: float, high: float, requirement: str) -> tuple:
     """Scales of the well and its V0 / T; raises :class:`DomainError`
-    unless V0 / T lies inside ``regime``'s validity region."""
-    low, high, requirement = _REGIME_GUARDS[regime]
+    unless low < V0 / T < high, the regime's validity region, whose cut
+    points keep the leading neglected term below a few percent."""
     scales = derive_scales(params)
     depth_ratio = params.well_depth / scales.kinetic_scale
     if not low < depth_ratio < high:
@@ -55,23 +45,20 @@ def _regime_scales(params: PTParameters, regime: str) -> tuple:
 class LimitExpansion:
     """Truncated series for lambda and hbar*omega in one regime.
 
-    ``order_kept`` counts powers of the regime's small parameter that
-    are retained.  ``energy(n)`` evaluates the per-level energy at the
-    same consistent order: on the oscillator side the box term T n^2 is
-    itself second order in alpha and therefore only enters for
-    order_kept >= 2.
+    ``lambda_approx`` is the series value of lambda and
+    ``oscillator_quantum_approx`` the matching hbar*omega = T lambda.
+    ``box_scale`` is the coefficient of n^2 in ``energy(n)``: T, or 0.0
+    for the oscillator series at order 1, where the box term T n^2 is
+    itself second order in alpha.
     """
 
-    regime: str
     lambda_approx: float
     oscillator_quantum_approx: float
-    order_kept: int
-    kinetic_scale: float
+    box_scale: float
 
     def __post_init__(self) -> None:
         if self.lambda_approx < 0.0:
             raise InvalidParameterError("series value of lambda must be >= 0")
-        check_count("order_kept", self.order_kept, 1, 3)
 
     def energy(self, n: int) -> float:
         """Approximate level energy at this expansion order.
@@ -79,11 +66,7 @@ class LimitExpansion:
         Raises :class:`DomainError` when the energy is not finite.
         """
         check_single_level(n)
-        ho_part = self.oscillator_quantum_approx * (n - 0.5)
-        if self.regime == HO_REGIME and self.order_kept == 1:
-            energy = ho_part
-        else:
-            energy = self.kinetic_scale * n * n + ho_part
+        energy = self.box_scale * n * n + self.oscillator_quantum_approx * (n - 0.5)
         check_finite("approximate energy", n, energy)
         return energy
 
@@ -95,17 +78,17 @@ def fp_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     hbar*omega ~ 2 V0 (1 - V0/T).  Requires V0 / T < 1/4.
     """
     check_count("box-side expansion order", order, 1, 2)
-    scales, depth_ratio = _regime_scales(params, FP_REGIME)
+    scales, depth_ratio = _regime_scales(
+        params, -math.inf, 0.25, "box limit requires well_depth / kinetic_scale < 0.25"
+    )
     x = 4.0 * depth_ratio
     lam = 0.5 * x
     if order >= 2:
         lam *= 1.0 - 0.25 * x
     return LimitExpansion(
-        regime=FP_REGIME,
         lambda_approx=lam,
         oscillator_quantum_approx=scales.kinetic_scale * lam,
-        order_kept=order,
-        kinetic_scale=scales.kinetic_scale,
+        box_scale=scales.kinetic_scale,
     )
 
 
@@ -117,7 +100,9 @@ def ho_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     with hw~ = 2 sqrt(V0 T).  Requires V0 / T > 4.
     """
     check_count("oscillator-side expansion order", order, 1, 3)
-    scales, depth_ratio = _regime_scales(params, HO_REGIME)
+    scales, depth_ratio = _regime_scales(
+        params, 4.0, math.inf, "oscillator limit requires well_depth / kinetic_scale > 4.0"
+    )
     lam_tilde = 2.0 * math.sqrt(depth_ratio)
     lam = lam_tilde
     if order >= 2:
@@ -125,9 +110,7 @@ def ho_limit_expansion(params: PTParameters, order: int) -> LimitExpansion:
     if order >= 3:
         lam += 0.5 / lam_tilde
     return LimitExpansion(
-        regime=HO_REGIME,
         lambda_approx=lam,
         oscillator_quantum_approx=scales.kinetic_scale * lam,
-        order_kept=order,
-        kinetic_scale=scales.kinetic_scale,
+        box_scale=scales.kinetic_scale if order >= 2 else 0.0,
     )

@@ -528,15 +528,14 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
 class ConvergenceReport:
     """Measured discretization orders of the raw (unextrapolated) scheme.
 
-    ``errors[i, j]`` is |E_numeric - E_closed| for grid i and level j;
-    ``slopes[j]`` is the fitted log-log slope of that error against the
-    spacing h.  ``expected_order`` is the exponent of the leading error
+    ``errors[i, j]`` is |E_numeric - E_closed| for level j on the i-th
+    grid in ascending order of size, whatever the order of the sizes
+    given; ``slopes[j]`` is the fitted log-log slope of that error against
+    the spacing h.  ``expected_order`` is the exponent of the leading error
     term that the slopes should approach: 2 for the second-order stencil,
     or the wall exponent sqrt(1 + 4 V0 / T) when 0 < V0 / T < 3/4.
     """
 
-    grid_sizes: tuple[int, ...]
-    spacings: tuple[float, ...]
     errors: np.ndarray
     slopes: np.ndarray
     expected_order: float
@@ -563,8 +562,6 @@ def convergence_study(
     error_matrix = np.array(errors)
     slopes = np.polyfit(np.log(np.array(spacings)), np.log(error_matrix), 1)[0]
     return ConvergenceReport(
-        grid_sizes=tuple(sorted(grid_sizes)),
-        spacings=tuple(spacings),
         errors=error_matrix,
         slopes=slopes,
         expected_order=float(min(_wall_exponents(params))),

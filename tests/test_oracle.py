@@ -186,6 +186,16 @@ class TestSolveEigenvalues:
         assert np.all(spectrum.eigenvalues > 0.0)
         assert np.all(np.diff(spectrum.eigenvalues) > 0.0)
 
+    # The 64-node spacing, 0.048, exceeds the deep well's oscillator length,
+    # 0.032, and the extrapolation of grids 64, 129 and 259 puts level 10
+    # below level 9
+    def test_unordered_eigenvalues_are_convergence_error(self):
+        params = PTParameters(mass=1.0, well_depth=5e5, half_width=math.pi / 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not strictly increasing and positive"):
+                solve_eigenvalues(params, GridSpec(64, richardson_levels=3, level_count=10))
+
     def test_grid_beyond_resource_limit(self, unit_well):
         with pytest.raises(ResourceLimitError):
             solve_eigenvalues(unit_well, GridSpec(200_000, richardson_levels=3, level_count=1))
@@ -789,6 +799,16 @@ class TestBracketedSolverFailure:
         with pytest.raises(ConvergenceError, match="eigensolver failed: stebz"):
             solve_eigenvalues(unit_well, GridSpec(4000, 2, 3))
 
+    # The closed form does not certify the 64-node first grid, so the first
+    # stebz call is the index solve's (range 2, block order) on its 32-node
+    # even block, and the first stein call follows it.
+    @pytest.mark.parametrize("routine", ["stebz", "stein"])
+    def test_index_solve_is_convergence_error(self, unit_well, monkeypatch, routine):
+        fail_lapack_routine(monkeypatch, routine)
+        with pytest.raises(ConvergenceError, match=f"eigensolver failed: {routine} info 1") as error:
+            solve_eigenvalues(unit_well, GridSpec(64, 3, 10))
+        assert error.traceback[-1].name == "_indexed"
+
 
 class TestLapackLoader:
     def test_missing_extension_is_import_error(self, tmp_path, monkeypatch):
@@ -858,10 +878,12 @@ class TestConvergenceStudy:
         ]
         assert np.all(np.abs(errors - expected) <= np.array(floors)[:, None])
 
+    # the rows of errors follow the grids in ascending order of size
     def test_grid_ordering_normalized(self, unit_well):
         report = convergence_study(unit_well, [2000, 500, 1000], level_count=1)
-        assert report.grid_sizes == (500, 1000, 2000)
-        assert report.spacings[0] > report.spacings[-1]
+        ordered = convergence_study(unit_well, [500, 1000, 2000], level_count=1)
+        assert report.errors.tobytes() == ordered.errors.tobytes()
+        assert report.slopes.tobytes() == ordered.slopes.tobytes()
 
     def test_requires_two_grids(self, unit_well):
         with pytest.raises(InvalidParameterError):
