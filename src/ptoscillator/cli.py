@@ -21,6 +21,7 @@ breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -106,6 +107,7 @@ def _render(fmt: str, meta: dict, columns: tuple[str, ...], rows: list) -> str:
 # option plumbing
 
 
+@functools.cache  # parse_args leaves the parsers as they are
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="ptoscillator",

@@ -4,9 +4,10 @@ A second-order finite-difference discretization of the Hamiltonian on a
 uniform grid over (-L, L) gives a symmetric tridiagonal matrix whose
 lowest eigenvalues are computed by the LAPACK routines ``stebz``
 (bisection on Sturm sequences), ``stein`` and ``gtsv`` (inverse
-iteration).  The hard walls are imposed by excluding the endpoints, so
-every sampled potential value is finite and the divergence of tan^2 near
-the walls enforces decay on its own; no capping is applied.  The
+iteration), and ``pttrf`` (Cholesky) takes one Sturm count.  The hard
+walls are imposed by excluding the endpoints, so every sampled potential
+value is finite and the divergence of tan^2 near the walls enforces
+decay on its own; no capping is applied.  The
 routines are taken on the first solver call from scipy's compiled LAPACK
 extension, loaded without the ``scipy.linalg`` package and its start-up,
 so programs that use only the closed forms never load scipy.
@@ -35,7 +36,8 @@ spectrum E_n = T n^2 + hbar omega (n - 1/2) of ``spectra.levels``; on
 each later grid the energies of the grid before it, within about 1e-5
 relative of its own from 4000 nodes on.  The check does not lean on
 them: the certificate below accepts an energy from the finite-difference
-block alone (residual discs, two Sturm counts and the Kato-Temple bound;
+block alone (residual discs, a Sturm count at each fence and the
+Kato-Temple bound;
 Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 10), so a
 centre that does not certify, as on coarse grids, on the deepest wells
 or above about level N / 4, costs at most a fallback to the index solve,
@@ -68,9 +70,12 @@ V_i + (2 - sqrt(2)) k and the sqrt(2) k term between them, 0.1-0.4 k u_i^2
 each, cancel to order 1: about 1e-13 relative rounding, which the 4 eps
 term of rho covers.  The disc [theta - rho, theta + rho],
 
-    rho = ||T u - theta u||_2 + 4 eps (|| |T| |u| ||_2 + |theta|),
+    rho = ||T u - theta u||_2 + 4 eps (||D u||_2 + 2 max_i |e_i| + |theta|),
 
-the residual plus a bound on its rounding, holds an eigenvalue.  With
+the residual plus a bound on its rounding, holds an eigenvalue.  D u, the
+diagonal's product, is where the residual starts, and the bound is at
+least 4 eps (|| |T| |u| ||_2 + |theta|) for a unit u, as the off-diagonal
+part of |T| has 2-norm at most 2 max_i |e_i|.  With
 fences a = theta_first (1 - 1e-3) > -||T||_inf and b = theta_last
 (1 + 1e-3), the block is certified when its discs are disjoint and lie
 inside (a, b), count(a) equals the index of its first wanted eigenvalue
@@ -84,6 +89,12 @@ accepted energy, a shift so close to its eigenvalue that the one step
 converges the vector.  count(x), the number of eigenvalues at or below
 x, is ``stebz`` in value mode on (-||T||_inf, x] with an absolute
 tolerance above that width, which stops after its endpoint Sturm counts.
+Where the window starts at the block's first eigenvalue (index 0), as in
+every block of ``solve_eigenvalues`` and ``convergence_study``, count(a)
+= 0 is tested instead by the Cholesky factorization ``pttrf`` of T - a I:
+its pivots are the Sturm recurrence at a, and it stops at the first
+non-positive one, so it succeeds exactly when T - a I is positive
+definite.
 A block that fails any check is solved by index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
@@ -223,12 +234,12 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
 
 @functools.cache
 def _lapack():
-    """The float64 LAPACK routines ``(dstebz, dstein, dgtsv)`` of scipy's
-    f2py extension ``scipy.linalg._flapack``, loaded from its file without
-    running ``scipy/linalg/__init__.py``, whose array-API setup would
-    import numpy's f2py, random and testing packages.  Importing scipy
-    first runs its distributor init, which on Windows registers the folder
-    of the bundled OpenBLAS."""
+    """The float64 LAPACK routines ``(dstebz, dstein, dgtsv, dpttrf)`` of
+    scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file
+    without running ``scipy/linalg/__init__.py``, whose array-API setup
+    would import numpy's f2py, random and testing packages.  Importing
+    scipy first runs its distributor init, which on Windows registers the
+    folder of the bundled OpenBLAS."""
     import scipy
 
     folder = os.path.join(scipy.__path__[0], "linalg")
@@ -241,14 +252,14 @@ def _lapack():
         raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dstebz, module.dstein, module.dgtsv
+    return module.dstebz, module.dstein, module.dgtsv, module.dpttrf
 
 
 def _indexed(diagonal, off_diagonal, low: int, high: int):
     """Eigenvalues low..high of one block by bisection and their unit
     vectors by inverse iteration, from the LAPACK calls of scipy's
     ``eigh_tridiagonal(select="i")``."""
-    stebz, stein, _ = _lapack()
+    stebz, stein, *_ = _lapack()
     # block order, which stein takes, then ascending order
     found, energies, block, split, info = stebz(
         diagonal, off_diagonal, 2, 0.0, 1.0, low + 1, high + 1, 0.0, "B"
@@ -303,31 +314,35 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
     most three times; a failure of the third try returns None.  With
     ``converge``, a certified block's vectors take one more step, each at
     its certified energy, and keep the certified vector where that step
-    meets a zero pivot."""
-    stebz, _, gtsv = _lapack()
-    magnitude, absolute = np.abs(off_diagonal), np.abs(diagonal)
-    rows = absolute.copy()
+    meets a zero pivot.
+
+    The disc radii bound the residuals' rounding by 4 eps (||D u||_2 +
+    2 max|e_i| + |theta|), D the diagonal, and a window from the block's
+    first eigenvalue (``low`` 0) tests its lower fence a by the Cholesky
+    factorization ``pttrf`` of T - a I, which succeeds exactly when
+    count(a) = 0; the module docstring gives both arguments."""
+    stebz, _, gtsv, pttrf = _lapack()
+    magnitude = np.abs(off_diagonal)
+    rows = np.abs(diagonal)
     rows[:-1] += magnitude
     rows[1:] += magnitude
     norm = rows.max()  # ||T||_inf, so -norm lies below every eigenvalue
+    coupling = 2.0 * magnitude.max()  # bounds the 2-norm of T's off-diagonal part
     vector = initial
     if vector is None:  # one column per centre
         vector = np.tile(np.arange(1.0, diagonal.size + 1), (centres.size, 1)).T
 
     def iterate(shifts, converging=False):
         for j, shift in enumerate(shifts):
-            *_, solved, info = gtsv(off_diagonal, diagonal - shift, off_diagonal, vector[:, j])
+            *_, solved, info = gtsv(
+                off_diagonal, diagonal - shift, off_diagonal, vector[:, j], overwrite_d=1
+            )
             if info and converging:  # a zero pivot: the shift is an eigenvalue
                 continue
             if info:
                 raise ConvergenceError(f"tridiagonal eigensolver failed: gtsv info {info}")
-            vector[:, j] = solved / np.linalg.norm(solved)
-
-    def times(diagonal, off_diagonal, column):
-        product = diagonal * column
-        product[:-1] += off_diagonal * column[1:]
-        product[1:] += off_diagonal * column[:-1]
-        return product
+            solved /= math.sqrt(solved @ solved)
+            vector[:, j] = solved
 
     def count(x):
         # an abstol above the interval's width stops after the endpoint counts
@@ -335,6 +350,10 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
         if info:
             raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
         return found
+
+    def none_below(x):
+        # count(x) == 0: T - x I is positive definite
+        return pttrf(diagonal - x, off_diagonal, overwrite_d=1)[-1] == 0
 
     sums = diagonal.copy()  # row sums of the block
     sums[:-1] += off_diagonal
@@ -346,11 +365,13 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
         energies, radius = np.empty(centres.size), np.empty(centres.size)
         for j, column in enumerate(vector.T):
             energies[j] = sums @ (column * column) - off_diagonal @ np.square(np.diff(column))
-            residual = times(diagonal, off_diagonal, column)
+            residual = diagonal * column
+            scaled = math.sqrt(residual @ residual)  # ||D u||_2
+            residual[:-1] += off_diagonal * column[1:]
+            residual[1:] += off_diagonal * column[:-1]
             residual -= energies[j] * column
-            rounding = times(absolute, magnitude, np.abs(column))
-            radius[j] = np.linalg.norm(residual) + 4.0 * eps * (
-                np.linalg.norm(rounding) + abs(energies[j])
+            radius[j] = math.sqrt(residual @ residual) + 4.0 * eps * (
+                scaled + coupling + abs(energies[j])
             )
         lower, upper = energies - radius, energies + radius
         start, stop = energies[0] * (1.0 - 1e-3), energies[-1] * (1.0 + 1e-3)
@@ -362,7 +383,9 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
         )
         if np.any(radius * radius > eps * norm / 16.0 * gap):
             return None
-        if count(start) != low or count(stop) != low + energies.size:
+        if not (none_below(start) if low == 0 else count(start) == low):
+            return None
+        if count(stop) != low + energies.size:
             return None
         return energies, vector
 

@@ -137,6 +137,35 @@ class TestDeterminism:
         assert first_code == second_code
         assert first == second
 
+    # The parser is built once per process and parse_args leaves it as it
+    # was, so a run of calls, a usage error among them, gives the stdout
+    # bytes and exit codes that each call gets from a parser of its own.
+    def test_calls_share_one_parser(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("half-width = 1\nwell-depth = 0.375\nn-max = 9\n", encoding="utf-8")
+        calls = [
+            ["spectrum", *UNIT_WELL_FLAGS, "--n-max", "3"],
+            ["spectrum", "--config", str(config), "--format", "json"],
+            ["validate", *UNIT_WELL_FLAGS, "--grid-n", "200", "--levels", "2", "--tolerance", "1"],
+            ["spectrum", "--n-max", "3"],  # no --half-width
+            ["spectrum", *UNIT_WELL_FLAGS, "--n-max", "3"],
+        ]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exit:
+                code = exit.code
+            return code, capsys.readouterr().out
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert [code for code, _ in fresh] == [0, 0, 0, 2, 0]
+        assert cli._build_parser() is cli._build_parser()
+        assert [run(argv) for argv in calls + calls] == fresh + fresh
+
 
 class TestSweep:
     def test_width_sweep_tracks_equation_of_state(self, capsys):

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ptoscillator import (
     ConvergenceError,
@@ -502,7 +504,7 @@ class TestBracketedSolve:
     # the deepest well, V0 / T = 1e6, too.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_certified_blocks_skip_index_solve(self, request, well, monkeypatch):
-        stebz, stein, gtsv = oracle._lapack()
+        stebz = oracle._lapack()[0]
         sizes = []
 
         def recording_stebz(diagonal, off_diagonal, mode, *args):
@@ -511,7 +513,7 @@ class TestBracketedSolve:
             return stebz(diagonal, off_diagonal, mode, *args)
 
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
+        patch_lapack(monkeypatch, stebz=recording_stebz)
         for n_points in (4000, 3999, 2000):
             solve_eigenvalues(params, GridSpec(n_points, richardson_levels=3, level_count=10))
             assert sizes == []
@@ -587,19 +589,19 @@ class TestBracketedSolve:
     # stein, which runs only in an index solve, is never called.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_solves_per_level(self, request, well, monkeypatch):
-        stebz, stein, gtsv = oracle._lapack()
+        _, stein, gtsv, _ = oracle._lapack()
         calls = []
 
         def recording_stein(diagonal, *args):
             calls.append(("stein", diagonal.size))
             return stein(diagonal, *args)
 
-        def recording_gtsv(lower, diagonal, *args):
+        def recording_gtsv(lower, diagonal, *args, **kwargs):
             calls.append(("gtsv", diagonal.size))
-            return gtsv(lower, diagonal, *args)
+            return gtsv(lower, diagonal, *args, **kwargs)
 
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        monkeypatch.setattr(oracle, "_lapack", lambda: (stebz, recording_stein, recording_gtsv))
+        patch_lapack(monkeypatch, stein=recording_stein, gtsv=recording_gtsv)
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
         # five levels in each block of N = 4000 (2000 and 2000 nodes), of
         # N = 8001 (4001 and 4000 nodes) and of N = 16003 (8002 and 8001 nodes)
@@ -614,6 +616,40 @@ class TestBracketedSolve:
             steps = 1 if n == 1 and request.node.callspec.id not in TWO_STEP_GROUND else 2
             block = 4001 if n % 2 else 4000
             assert calls == [("gtsv", 2000)] * (steps + 1) + [("gtsv", block)] * 2
+
+    # A window from its block's first eigenvalue, as every block of the
+    # ten-level solve and the pressure's of levels 1 and 2, tests its lower
+    # fence by one pttrf and its upper by one stebz count; a window above
+    # it, as the pressure's of levels 3-5, takes a stebz count at each
+    # fence.  Every refined block reaches the fences once, on the try that
+    # certifies it, and no block is solved by index.
+    @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
+    def test_sturm_counts_per_block(self, request, well, monkeypatch):
+        stebz, _, _, pttrf = oracle._lapack()
+        calls = []
+
+        def recording_stebz(diagonal, *args):
+            calls.append(("stebz", diagonal.size))
+            return stebz(diagonal, *args)
+
+        def recording_pttrf(diagonal, *args, **kwargs):
+            calls.append(("pttrf", diagonal.size))
+            return pttrf(diagonal, *args, **kwargs)
+
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        patch_lapack(monkeypatch, stebz=recording_stebz, pttrf=recording_pttrf)
+        solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
+        assert calls == [
+            (routine, size)
+            for size in (2000, 2000, 4001, 4000, 8002, 8001)
+            for routine in ("pttrf", "stebz")
+        ]
+        for n in range(1, 6):
+            calls.clear()
+            numerical_pressure(params, n, use_eigenvalues=True)
+            fences = ("pttrf", "stebz") if n <= 2 else ("stebz", "stebz")
+            block = 4001 if n % 2 else 4000
+            assert calls == [(routine, size) for size in (2000, block) for routine in fences]
 
     # Every first grid takes the closed-form levels as centres.  On 64 and
     # 128 nodes levels 1-10 lie up to 2.2 % off them, and the certificate
@@ -643,7 +679,7 @@ class TestBracketedSolve:
     def test_coarse_first_grid_falls_back_to_index_solve(
         self, request, well, n_points, blocks, monkeypatch
     ):
-        stebz, stein, gtsv = oracle._lapack()
+        stebz = oracle._lapack()[0]
         sizes = []
 
         def recording_stebz(diagonal, off_diagonal, mode, *args):
@@ -652,7 +688,7 @@ class TestBracketedSolve:
             return stebz(diagonal, off_diagonal, mode, *args)
 
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        monkeypatch.setattr(oracle, "_lapack", lambda: (recording_stebz, stein, gtsv))
+        patch_lapack(monkeypatch, stebz=recording_stebz)
         solve_eigenvalues(params, GridSpec(n_points, richardson_levels=3, level_count=10))
         assert sizes == blocks
 
@@ -680,20 +716,49 @@ class TestBracketedSolve:
 
     # The even block of levels 3..5 centred on levels 1 and 5, or 3 and 7:
     # the discs hold one eigenvalue each, and only the count at the lower,
-    # or the upper, fence sees that a wanted level is skipped.
+    # or the upper, fence sees that a wanted level is skipped.  The even
+    # block of levels 1..3 centred on levels 3 and 5 starts at the block's
+    # first eigenvalue, so its lower fence is the pttrf test, which meets a
+    # negative pivot below level 3 and rejects every try before the count at
+    # the upper fence runs.
     @pytest.mark.parametrize("well", WELLS)
-    @pytest.mark.parametrize("skipped, level", [("lower", 1), ("upper", 7)])
-    def test_centres_skipping_a_level_fall_back(self, request, well, skipped, level):
+    @pytest.mark.parametrize(
+        "first, placed",
+        [
+            pytest.param(3, (1, 4, 5), id="lower-1"),
+            pytest.param(3, (3, 4, 7), id="upper-7"),
+            pytest.param(1, (3, 2, 5), id="lower-from-1"),
+        ],
+    )
+    def test_centres_skipping_a_level_fall_back(self, request, well, first, placed, monkeypatch):
         params = request.getfixturevalue(well)
         exact = oracle._fd_levels(params, 8001, 1, 7)[0]
-        centres = exact[2:5].copy()
-        centres[0 if skipped == "lower" else 2] = exact[level - 1]
+        centres = exact[np.array(placed) - 1]
+        stebz, _, _, pttrf = oracle._lapack()
+        calls = []
+
+        def recording_stebz(diagonal, off_diagonal, mode, *args):
+            calls.append(("stebz", diagonal.size, mode))
+            return stebz(diagonal, off_diagonal, mode, *args)
+
+        def recording_pttrf(diagonal, *args, **kwargs):
+            result = pttrf(diagonal, *args, **kwargs)
+            calls.append(("pttrf", diagonal.size, result[-1] > 0))
+            return result
+
+        patch_lapack(monkeypatch, stebz=recording_stebz, pttrf=recording_pttrf)
         energies, pressures, _ = oracle._fd_levels(
-            params, 8001, 3, 5, vectors=True, centres=centres
+            params, 8001, first, first + 2, vectors=True, centres=centres
         )
-        expected, expected_pressures, _ = oracle._fd_levels(params, 8001, 3, 5, vectors=True)
+        monkeypatch.undo()
+        expected, expected_pressures, _ = oracle._fd_levels(
+            params, 8001, first, first + 2, vectors=True
+        )
         assert np.array_equal(energies[::2], expected[::2])
         assert np.array_equal(pressures[::2], expected_pressures[::2])
+        if first == 1:  # the even block has 4001 nodes; stebz by index solves it
+            even = [call for call in calls if call[1] == 4001]
+            assert even == [("pttrf", 4001, True)] * 3 + [("stebz", 4001, 2)]
 
     # Both centres of the even block on level 1: inverse iteration takes
     # each column alone, so both turn to level 1, and their discs overlap.
@@ -753,7 +818,9 @@ def dense_certificate(diagonal, off_diagonal, low: int, centres) -> float:
     energies = np.einsum("ij,ij->j", vector, matrix @ vector)
     eps = np.finfo(float).eps
     radius = np.linalg.norm(matrix @ vector - energies * vector, axis=0) + 4.0 * eps * (
-        np.linalg.norm(np.abs(matrix) @ np.abs(vector), axis=0) + np.abs(energies)
+        np.linalg.norm(diagonal[:, None] * vector, axis=0)
+        + 2.0 * np.abs(off_diagonal).max()
+        + np.abs(energies)
     )
     start, stop = energies[0] * (1.0 - 1e-3), energies[-1] * (1.0 + 1e-3)
     lower, upper = energies - radius, energies + radius
@@ -765,24 +832,66 @@ def dense_certificate(diagonal, off_diagonal, low: int, centres) -> float:
     return np.max(radius**2 / gap) / (eps * np.abs(matrix).sum(axis=1).max() / 16.0)
 
 
+# The certificate bounds the rounding of T u with ||D u||_2 + 2 max|e_i|
+# in place of || |T| |u| ||_2, D the diagonal: |T| |u| = |D| |u| + |E| |u|,
+# E the off-diagonal part, whose 2-norm is at most 2 max|e_i|, so for a unit
+# u the bound is never smaller.  Blocks like the oracle's: V_i = k r_i >= 0,
+# 2 k + V_i on the diagonal, -k off it and, for an odd grid's even block,
+# -sqrt(2) k last; r_i up to 1e8, past the V0 / T = 2e6 of the deepest CI
+# well.  The two norms are compared up to their own rounding, size eps.
+@given(
+    kinetic=st.floats(min_value=1e-100, max_value=1e100),
+    rows=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1e8), st.floats(min_value=-1.0, max_value=1)),
+        min_size=2,
+        max_size=200,
+    ),
+    odd=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_rounding_bound_covers_absolute_product(kinetic, rows, odd):
+    ratios, entries = (np.array(column) for column in zip(*rows))
+    length = math.sqrt(entries @ entries)
+    assume(length > 0.0)
+    column = entries / length
+    diagonal = kinetic * (2.0 + ratios)
+    off_diagonal = np.full(column.size - 1, -kinetic)
+    if odd:
+        off_diagonal[-1] *= math.sqrt(2.0)
+    product = np.abs(diagonal * column)
+    product[:-1] += np.abs(off_diagonal * column[1:])
+    product[1:] += np.abs(off_diagonal * column[:-1])
+    bound = np.linalg.norm(diagonal * column) + 2.0 * np.abs(off_diagonal).max()
+    assert np.linalg.norm(product) <= bound * (1.0 + column.size * np.finfo(float).eps)
+
+
+LAPACK_NAMES = ("stebz", "stein", "gtsv", "pttrf")  # in the order _lapack() returns them
+
+
+def patch_lapack(monkeypatch, **replacements) -> None:
+    """Give the oracle the routines of ``_lapack()`` with those named in
+    ``replacements`` swapped for the given ones."""
+    routines = dict(zip(LAPACK_NAMES, oracle._lapack()))
+    routines.update(replacements)
+    monkeypatch.setattr(oracle, "_lapack", lambda: tuple(routines.values()))
+
+
 def fail_lapack_routine(monkeypatch, name: str, above: int = 0) -> None:
     """Make the oracle's LAPACK routine ``name`` report info = 1 at its
     first call on a block of more than ``above`` nodes, so a solve that
     retried the block another way would succeed."""
-    routines = dict(zip(("stebz", "stein", "gtsv"), oracle._lapack()))
-    routine = routines[name]
+    routine = oracle._lapack()[LAPACK_NAMES.index(name)]
     failed = []
 
-    def failing(*args):
-        result = routine(*args)
+    def failing(*args, **kwargs):
+        result = routine(*args, **kwargs)
         size = args[1 if name == "gtsv" else 0].size  # gtsv takes the diagonal second
         if failed or size <= above:
             return result
         failed.append(size)
         return (*result[:-1], 1)
 
-    routines[name] = failing
-    monkeypatch.setattr(oracle, "_lapack", lambda: tuple(routines.values()))
+    patch_lapack(monkeypatch, **{name: failing})
 
 
 class TestBracketedSolverFailure:

@@ -1,14 +1,18 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptoscillator import (
     ActionEvaluation,
     ConvergenceError,
     DomainError,
     InvalidParameterError,
+    PTOscillatorError,
     PTParameters,
     QuadratureError,
     action,
@@ -17,6 +21,7 @@ from ptoscillator import (
     qc_energy_closed,
     qc_energy_numeric,
     semiclassical,
+    spectra,
     turning_point,
 )
 
@@ -281,3 +286,116 @@ class TestDeviationFromExact:
         assert coeffs[0] == pytest.approx(scales.kinetic_scale, abs=1e-10)
         assert coeffs[1] == pytest.approx(scales.kinetic_scale * lam_tilde, abs=1e-10)
         assert coeffs[2] == pytest.approx(0.0, abs=1e-10)
+
+
+def outcome(compute):
+    """The float ``compute()`` returns, or the package error it raises."""
+    try:
+        return compute()
+    except PTOscillatorError as error:
+        return error
+
+
+def langer_pair(params: PTParameters, n: int) -> tuple:
+    """The Bohr-Sommerfeld root of the well deepened by T/4, plus T/4, and
+    the closed-form level, each a float or the package error it raised.
+    T = hbar^2 alpha^2 / (2 m) is computed here, apart from derive_scales,
+    with products, which overflow to inf where a power would raise; an
+    infinite or NaN depth raises InvalidParameterError."""
+    kinetic = params.hbar * params.hbar * (params.alpha * params.alpha) / (2.0 * params.mass)
+    shifted = outcome(
+        lambda: qc_energy_numeric(
+            replace(params, well_depth=params.well_depth + kinetic / 4.0), n
+        ) + kinetic / 4.0
+    )
+    return shifted, outcome(lambda: levels(params, n).energy_total)
+
+
+# Langer's shift (Phys. Rev. 51, 669 (1937)) makes Bohr-Sommerfeld exact for
+# this shape-invariant well (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267
+# (1995)): with V0 + T/4 in place of V0 the quantized action gives
+# T (n + lambda/2)^2 - V0 - T/4, so adding T/4 gives T n^2 + T lambda (n - 1/2).
+# The root comes from the tanh-sinh action and Newton's method, which share
+# no derivation with spectra.levels.  Measured worst relative difference:
+# 1.5e-15 over 3e4 random wells with n up to 1e6.
+LANGER_RTOL = 4e-15
+
+moderate = st.floats(min_value=1e-30, max_value=1e30)
+full_range = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+depths = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+)
+
+
+class TestLangerShiftedRoot:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PTParameters(1.0, 0.375, math.pi / 2),
+            PTParameters(1.0, 0.5, 50 * math.pi),
+            PTParameters(1.0, 0.005, math.pi / 2),
+            PTParameters(1.0, 50.0, math.pi / 2),
+            PTParameters(1.0, 1e4, math.pi / 2),
+            PTParameters(1.0, 0.0, 1.0),
+        ],
+        ids=["unit", "wide", "shallow", "V0=50", "V0=1e4", "box"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 1000, 10**6])
+    def test_wells(self, params, n):
+        shifted, closed = langer_pair(params, n)
+        assert abs(shifted - closed) <= LANGER_RTOL * closed
+
+    # With mass, L and hbar in [1e-30, 1e30] each side returns or both
+    # raise, as when 4 V0 / T overflows.
+    @given(mass=moderate, depth=depths, half_width=moderate, hbar=moderate,
+           n=st.integers(1, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_moderate_scales(self, mass, depth, half_width, hbar, n):
+        shifted, closed = langer_pair(PTParameters(mass, depth, half_width, hbar), n)
+        raised = [isinstance(side, PTOscillatorError) for side in (shifted, closed)]
+        assert raised in ([True, True], [False, False])
+        if not any(raised):
+            assert abs(shifted - closed) <= LANGER_RTOL * closed
+
+    # Over every float PTParameters accepts each side is finite or a package
+    # error.  At the extremes one side may raise alone: levels when its
+    # pressure 2 E / L overflows to a NaN total while E is finite (T = 1.3e231,
+    # L = 1.8e-97), and the action when its period m / p overflows while the
+    # level is finite (m = 3.4e195, E = 1.6e-255).  Where both return they
+    # agree.
+    @given(mass=full_range, depth=depths, half_width=full_range, hbar=full_range,
+           n=st.integers(1, 10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_full_float_range(self, mass, depth, half_width, hbar, n):
+        shifted, closed = langer_pair(PTParameters(mass, depth, half_width, hbar), n)
+        raised = [isinstance(side, PTOscillatorError) for side in (shifted, closed)]
+        for side, error in zip((shifted, closed), raised):
+            assert error or math.isfinite(side)
+        if not any(raised):
+            assert abs(shifted - closed) <= LANGER_RTOL * closed
+
+    # lambda scaled by 1 + 1e-9 in the closed form moves E_1 by 1e-9 T lambda / 2,
+    # 1e-11 relative on the shallow well and more on the others, and the
+    # check sees it.
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PTParameters(1.0, 0.375, math.pi / 2),
+            PTParameters(1.0, 0.5, 50 * math.pi),
+            PTParameters(1.0, 0.005, math.pi / 2),
+            PTParameters(1.0, 50.0, math.pi / 2),
+            PTParameters(1.0, 1e4, math.pi / 2),
+        ],
+        ids=["unit", "wide", "shallow", "V0=50", "V0=1e4"],
+    )
+    def test_detects_wrong_lambda(self, params, monkeypatch):
+        derive = spectra.derive_scales
+
+        def wrong_lambda(well):
+            scales = derive(well)
+            lam = scales.lambda_exact * (1.0 + 1e-9)
+            return replace(scales, lambda_exact=lam, oscillator_quantum=scales.kinetic_scale * lam)
+
+        monkeypatch.setattr(spectra, "derive_scales", wrong_lambda)
+        shifted, closed = langer_pair(params, 1)
+        assert abs(shifted - closed) > LANGER_RTOL * closed
