@@ -4,10 +4,9 @@ A second-order finite-difference discretization of the Hamiltonian on a
 uniform grid over (-L, L) gives a symmetric tridiagonal matrix whose
 lowest eigenvalues are computed by the LAPACK routines ``stebz``
 (bisection on Sturm sequences), ``stein`` and ``gtsv`` (inverse
-iteration), and ``pttrf`` (Cholesky) takes one Sturm count.  The hard
-walls are imposed by excluding the endpoints, so every sampled potential
-value is finite and the divergence of tan^2 near the walls enforces
-decay on its own; no capping is applied.  The
+iteration).  The hard walls are imposed by excluding the endpoints, so
+every sampled potential value is finite and the divergence of tan^2 near
+the walls enforces decay on its own; no capping is applied.  The
 routines are taken on the first solver call from scipy's compiled LAPACK
 extension, loaded without the ``scipy.linalg`` package and its start-up,
 so programs that use only the closed forms never load scipy.
@@ -36,7 +35,7 @@ spectrum E_n = T n^2 + hbar omega (n - 1/2) of ``spectra.levels``; on
 each later grid the energies of the grid before it, within about 1e-5
 relative of its own from 4000 nodes on.  The check does not lean on
 them: the certificate below accepts an energy from the finite-difference
-block alone (residual discs, a Sturm count at each fence and the
+block alone (residual discs, Sturm counts at the fences and the
 Kato-Temple bound;
 Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, ch. 10), so a
 centre that does not certify, as on coarse grids, on the deepest wells
@@ -89,13 +88,12 @@ accepted energy, a shift so close to its eigenvalue that the one step
 converges the vector.  count(x), the number of eigenvalues at or below
 x, is ``stebz`` in value mode on (-||T||_inf, x] with an absolute
 tolerance above that width, which stops after its endpoint Sturm counts.
-Where the window starts at the block's first eigenvalue (index 0), as in
-every block of ``solve_eigenvalues`` and ``convergence_study``, count(a)
-= 0 is tested instead by the Cholesky factorization ``pttrf`` of T - a I:
-its pivots are the Sturm recurrence at a, and it stops at the first
-non-positive one, so it succeeds exactly when T - a I is positive
-definite.
-A block that fails any check is solved by index.
+Where the window starts at the block's first eigenvalue (index 0), as
+every block of ``solve_eigenvalues`` and ``convergence_study`` does,
+count(a) is not taken: the disjoint discs inside (a, b) hold one
+eigenvalue each, so count(b) = size already forces count(a) = 0.  Above
+index 0, count(b) = low + size only bounds count(a) by low, and count(a)
+is taken.  A block that fails any check is solved by index.
 
 Richardson extrapolation over grids N, 2N+1, (4N+3) removes the two
 leading error terms, the two smallest of the bulk h^2 and h^4 and, for
@@ -234,7 +232,7 @@ def _parity_blocks(params: PTParameters, n_points: int, count: int) -> tuple[tup
 
 @functools.cache
 def _lapack():
-    """The float64 LAPACK routines ``(dstebz, dstein, dgtsv, dpttrf)`` of
+    """The float64 LAPACK routines ``(dstebz, dstein, dgtsv)`` of
     scipy's f2py extension ``scipy.linalg._flapack``, loaded from its file
     without running ``scipy/linalg/__init__.py``, whose array-API setup
     would import numpy's f2py, random and testing packages.  Importing
@@ -252,7 +250,7 @@ def _lapack():
         raise ImportError(f"scipy's LAPACK extension _flapack is not in {folder}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dstebz, module.dstein, module.dgtsv, module.dpttrf
+    return module.dstebz, module.dstein, module.dgtsv
 
 
 def _indexed(diagonal, off_diagonal, low: int, high: int):
@@ -318,10 +316,10 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
 
     The disc radii bound the residuals' rounding by 4 eps (||D u||_2 +
     2 max|e_i| + |theta|), D the diagonal, and a window from the block's
-    first eigenvalue (``low`` 0) tests its lower fence a by the Cholesky
-    factorization ``pttrf`` of T - a I, which succeeds exactly when
-    count(a) = 0; the module docstring gives both arguments."""
-    stebz, _, gtsv, pttrf = _lapack()
+    first eigenvalue (``low`` 0) takes no count at its lower fence, which
+    its count at the upper fence implies; the module docstring gives both
+    arguments."""
+    stebz, _, gtsv = _lapack()
     magnitude = np.abs(off_diagonal)
     rows = np.abs(diagonal)
     rows[:-1] += magnitude
@@ -351,10 +349,6 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
             raise ConvergenceError(f"tridiagonal eigensolver failed: stebz info {info}")
         return found
 
-    def none_below(x):
-        # count(x) == 0: T - x I is positive definite
-        return pttrf(diagonal - x, off_diagonal, overwrite_d=1)[-1] == 0
-
     sums = diagonal.copy()  # row sums of the block
     sums[:-1] += off_diagonal
     sums[1:] += off_diagonal
@@ -383,7 +377,7 @@ def _refined(diagonal, off_diagonal, low: int, centres, initial, converge: bool)
         )
         if np.any(radius * radius > eps * norm / 16.0 * gap):
             return None
-        if not (none_below(start) if low == 0 else count(start) == low):
+        if low and count(start) != low:
             return None
         if count(stop) != low + energies.size:
             return None

@@ -27,6 +27,20 @@ def closed_energies(params: PTParameters, count: int) -> np.ndarray:
     return levels(params, np.arange(1, count + 1)).energy_total
 
 
+def superpartner_gaps(s: float) -> np.ndarray:
+    """E_n(s) - E_{n-1}(s + 1) for n = 2..10, in units of 2 T s, from the
+    oracle's levels of the wells V0 = T s (s - 1) and T (s + 1) s at
+    L = pi/2."""
+    box = PTParameters(mass=1.0, well_depth=0.0, half_width=math.pi / 2)
+    kinetic = box.hbar**2 * box.alpha**2 / (2.0 * box.mass)
+    grid = GridSpec(4000, richardson_levels=3, level_count=10)
+    well, partner = (
+        solve_eigenvalues(replace(box, well_depth=kinetic * t * (t - 1.0)), grid).eigenvalues
+        for t in (s, s + 1.0)
+    )
+    return (well[1:] - partner[:-1]) / (2.0 * kinetic * s)
+
+
 class TestGridSpec:
     def test_refinement_sequence_halves_spacing(self):
         grid = GridSpec(interior_points=100, richardson_levels=3, level_count=2)
@@ -170,6 +184,21 @@ class TestSolveEigenvalues:
         # V0 / T = 2, q = 3
         middle = PTParameters(mass=1.0, well_depth=1.0, half_width=math.pi / 2)
         assert oracle._wall_exponents(middle) == pytest.approx((2, 3), rel=1e-15)
+
+    # Shape invariance, with no closed form: the well of V0 = T s (s - 1)
+    # and its superpartner of V0 = T (s + 1) s share their levels, so
+    # E_n(s) - E_{n-1}(s + 1) = 2 T s for n >= 2.  Measured worst over
+    # levels 2-10: 2.5e-10 of 2 T s at s = 1.2.  With the weights of h^2 and
+    # h^4 on every well in place of the wall term's, s = 1.02, 1.2 and 1.5
+    # read 5.6e-5, 2.6e-5 and 2.6e-7.
+    @pytest.mark.parametrize("s", [1.02, 1.2, 1.5, 3.3, 10.0])
+    def test_superpartner_levels_shift_by_2ts(self, s):
+        assert np.max(np.abs(superpartner_gaps(s) - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("s", [1.02, 1.2, 1.5])
+    def test_superpartner_check_detects_wrong_exponents(self, s, monkeypatch):
+        monkeypatch.setattr(oracle, "_wall_exponents", lambda params: (2, 4))
+        assert np.max(np.abs(superpartner_gaps(s) - 1.0)) > 1e-9
 
     def test_extrapolation_beats_raw_solve(self, unit_well):
         expected = closed_energies(unit_well, 3)
@@ -589,7 +618,7 @@ class TestBracketedSolve:
     # stein, which runs only in an index solve, is never called.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_solves_per_level(self, request, well, monkeypatch):
-        _, stein, gtsv, _ = oracle._lapack()
+        _, stein, gtsv = oracle._lapack()
         calls = []
 
         def recording_stein(diagonal, *args):
@@ -618,38 +647,63 @@ class TestBracketedSolve:
             assert calls == [("gtsv", 2000)] * (steps + 1) + [("gtsv", block)] * 2
 
     # A window from its block's first eigenvalue, as every block of the
-    # ten-level solve and the pressure's of levels 1 and 2, tests its lower
-    # fence by one pttrf and its upper by one stebz count; a window above
-    # it, as the pressure's of levels 3-5, takes a stebz count at each
-    # fence.  Every refined block reaches the fences once, on the try that
+    # ten-level solve and the pressure's of levels 1 and 2, takes one stebz
+    # count, at its upper fence, which implies the lower one; a window above
+    # it, as the pressure's of levels 3-5, takes a count at each fence.
+    # Every refined block reaches the fences once, on the try that
     # certifies it, and no block is solved by index.
     @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
     def test_sturm_counts_per_block(self, request, well, monkeypatch):
-        stebz, _, _, pttrf = oracle._lapack()
+        stebz = oracle._lapack()[0]
         calls = []
 
         def recording_stebz(diagonal, *args):
-            calls.append(("stebz", diagonal.size))
+            calls.append(diagonal.size)
             return stebz(diagonal, *args)
 
-        def recording_pttrf(diagonal, *args, **kwargs):
-            calls.append(("pttrf", diagonal.size))
-            return pttrf(diagonal, *args, **kwargs)
-
         params = request.getfixturevalue(well) if isinstance(well, str) else well
-        patch_lapack(monkeypatch, stebz=recording_stebz, pttrf=recording_pttrf)
+        patch_lapack(monkeypatch, stebz=recording_stebz)
         solve_eigenvalues(params, GridSpec(4000, richardson_levels=3, level_count=10))
-        assert calls == [
-            (routine, size)
-            for size in (2000, 2000, 4001, 4000, 8002, 8001)
-            for routine in ("pttrf", "stebz")
-        ]
+        assert calls == [2000, 2000, 4001, 4000, 8002, 8001]
         for n in range(1, 6):
             calls.clear()
             numerical_pressure(params, n, use_eigenvalues=True)
-            fences = ("pttrf", "stebz") if n <= 2 else ("stebz", "stebz")
+            fences = 1 if n <= 2 else 2
             block = 4001 if n % 2 else 4000
-            assert calls == [(routine, size) for size in (2000, block) for routine in fences]
+            assert calls == [2000] * fences + [block] * fences
+
+    # Why a window from its block's first eigenvalue takes no count at its
+    # lower fence: every such block that certifies has no eigenvalue at or
+    # below a = theta_first (1 - 1e-3), so T - a I is positive definite and
+    # LAPACK's Cholesky dpttrf of it succeeds.  Checked on the ten-level
+    # solves from N = 64, 128, 3999 and 4000 (the coarse first grids fall
+    # back to the index solve, the grids after them certify) and on the
+    # pressures of levels 1 and 2.
+    @pytest.mark.parametrize("well", WELLS + RATIO_WELLS)
+    def test_certified_first_window_has_nothing_below_lower_fence(
+        self, request, well, monkeypatch
+    ):
+        from scipy.linalg.lapack import dpttrf
+
+        refined = oracle._refined
+        checked = []
+
+        def checking(diagonal, off_diagonal, low, *args):
+            solution = refined(diagonal, off_diagonal, low, *args)
+            if solution is not None and low == 0:
+                start = solution[0][0] * (1.0 - 1e-3)
+                assert dpttrf(diagonal - start, off_diagonal)[-1] == 0
+                checked.append(diagonal.size)
+            return solution
+
+        params = request.getfixturevalue(well) if isinstance(well, str) else well
+        monkeypatch.setattr(oracle, "_refined", checking)
+        for n_points in (64, 128, 3999, 4000):
+            sizes = GridSpec(n_points, richardson_levels=3, level_count=10).grid_sequence()
+            oracle._grid_levels(params, sizes, 1, 10, False)
+        for n in (1, 2):
+            numerical_pressure(params, n, use_eigenvalues=True)
+        assert len(checked) >= 16  # the 12 blocks of N = 3999 and 4000, 4 of the pressures
 
     # Every first grid takes the closed-form levels as centres.  On 64 and
     # 128 nodes levels 1-10 lie up to 2.2 % off them, and the certificate
@@ -718,9 +772,8 @@ class TestBracketedSolve:
     # the discs hold one eigenvalue each, and only the count at the lower,
     # or the upper, fence sees that a wanted level is skipped.  The even
     # block of levels 1..3 centred on levels 3 and 5 starts at the block's
-    # first eigenvalue, so its lower fence is the pttrf test, which meets a
-    # negative pivot below level 3 and rejects every try before the count at
-    # the upper fence runs.
+    # first eigenvalue, so it takes no count at its lower fence: the count at
+    # its upper fence, 3 where 2 are wanted, rejects every try.
     @pytest.mark.parametrize("well", WELLS)
     @pytest.mark.parametrize(
         "first, placed",
@@ -734,19 +787,14 @@ class TestBracketedSolve:
         params = request.getfixturevalue(well)
         exact = oracle._fd_levels(params, 8001, 1, 7)[0]
         centres = exact[np.array(placed) - 1]
-        stebz, _, _, pttrf = oracle._lapack()
+        stebz = oracle._lapack()[0]
         calls = []
 
         def recording_stebz(diagonal, off_diagonal, mode, *args):
             calls.append(("stebz", diagonal.size, mode))
             return stebz(diagonal, off_diagonal, mode, *args)
 
-        def recording_pttrf(diagonal, *args, **kwargs):
-            result = pttrf(diagonal, *args, **kwargs)
-            calls.append(("pttrf", diagonal.size, result[-1] > 0))
-            return result
-
-        patch_lapack(monkeypatch, stebz=recording_stebz, pttrf=recording_pttrf)
+        patch_lapack(monkeypatch, stebz=recording_stebz)
         energies, pressures, _ = oracle._fd_levels(
             params, 8001, first, first + 2, vectors=True, centres=centres
         )
@@ -758,7 +806,7 @@ class TestBracketedSolve:
         assert np.array_equal(pressures[::2], expected_pressures[::2])
         if first == 1:  # the even block has 4001 nodes; stebz by index solves it
             even = [call for call in calls if call[1] == 4001]
-            assert even == [("pttrf", 4001, True)] * 3 + [("stebz", 4001, 2)]
+            assert even == [("stebz", 4001, 1)] * 3 + [("stebz", 4001, 2)]
 
     # Both centres of the even block on level 1: inverse iteration takes
     # each column alone, so both turn to level 1, and their discs overlap.
@@ -865,7 +913,7 @@ def test_rounding_bound_covers_absolute_product(kinetic, rows, odd):
     assert np.linalg.norm(product) <= bound * (1.0 + column.size * np.finfo(float).eps)
 
 
-LAPACK_NAMES = ("stebz", "stein", "gtsv", "pttrf")  # in the order _lapack() returns them
+LAPACK_NAMES = ("stebz", "stein", "gtsv")  # in the order _lapack() returns them
 
 
 def patch_lapack(monkeypatch, **replacements) -> None:

@@ -296,19 +296,37 @@ def outcome(compute):
         return error
 
 
-def langer_pair(params: PTParameters, n: int) -> tuple:
-    """The Bohr-Sommerfeld root of the well deepened by T/4, plus T/4, and
-    the closed-form level, each a float or the package error it raised.
+def langer_energy(params: PTParameters, n: int) -> float:
+    """The Bohr-Sommerfeld root of the well deepened by T/4, plus T/4.
     T = hbar^2 alpha^2 / (2 m) is computed here, apart from derive_scales,
     with products, which overflow to inf where a power would raise; an
     infinite or NaN depth raises InvalidParameterError."""
     kinetic = params.hbar * params.hbar * (params.alpha * params.alpha) / (2.0 * params.mass)
-    shifted = outcome(
-        lambda: qc_energy_numeric(
-            replace(params, well_depth=params.well_depth + kinetic / 4.0), n
-        ) + kinetic / 4.0
+    return (
+        qc_energy_numeric(replace(params, well_depth=params.well_depth + kinetic / 4.0), n)
+        + kinetic / 4.0
     )
-    return shifted, outcome(lambda: levels(params, n).energy_total)
+
+
+def langer_pair(params: PTParameters, n: int) -> tuple:
+    """The Langer-shifted root and the closed-form level, each a float or
+    the package error it raised."""
+    closed = outcome(lambda: levels(params, n).energy_total)
+    return outcome(lambda: langer_energy(params, n)), closed
+
+
+def langer_pressure(params: PTParameters, n: int) -> float:
+    """-dE_n/dL of the Langer-shifted root: central differences in L at
+    relative steps 1e-4 and 5e-5, and one Richardson step on their h^2
+    error."""
+    length = params.half_width
+
+    def quotient(step: float) -> float:
+        upper = langer_energy(replace(params, half_width=length * (1.0 + step)), n)
+        lower = langer_energy(replace(params, half_width=length * (1.0 - step)), n)
+        return -(upper - lower) / (2.0 * length * step)
+
+    return (4.0 * quotient(5e-5) - quotient(1e-4)) / 3.0
 
 
 # Langer's shift (Phys. Rev. 51, 669 (1937)) makes Bohr-Sommerfeld exact for
@@ -399,3 +417,49 @@ class TestLangerShiftedRoot:
         monkeypatch.setattr(spectra, "derive_scales", wrong_lambda)
         shifted, closed = langer_pair(params, 1)
         assert abs(shifted - closed) > LANGER_RTOL * closed
+
+
+# The Langer-shifted root is exact at every L, so its derivative in L checks
+# the closed-form pressure, (2/L) E_n - (1/L) T psi (n - 1/2), with no
+# reference to the finite-difference oracle, at any level.  The difference
+# quotients' step errors, h^2 removed, leave the measured worst relative
+# difference 1.1e-11 (V0 = 5e5, n up to 1000).
+LANGER_PRESSURE_RTOL = 5e-11
+
+PRESSURE_WELLS = [
+    pytest.param(PTParameters(1.0, 0.375, math.pi / 2), id="unit"),
+    pytest.param(PTParameters(1.0, 0.5, 50 * math.pi), id="wide"),
+    pytest.param(PTParameters(1.0, 0.005, math.pi / 2), id="shallow"),
+    pytest.param(PTParameters(1.0, 0.02, math.pi / 2), id="V0=0.02"),
+    pytest.param(PTParameters(1.0, 0.05, math.pi / 2), id="V0=0.05"),
+    pytest.param(PTParameters(1.0, 50.0, math.pi / 2), id="V0=50"),
+    pytest.param(PTParameters(1.0, 1e4, math.pi / 2), id="V0=1e4"),
+    pytest.param(PTParameters(1.0, 5e5, math.pi / 2), id="V0=5e5"),
+]
+
+
+class TestLangerShiftedPressure:
+    @pytest.mark.parametrize(
+        "params", PRESSURE_WELLS + [pytest.param(PTParameters(1.0, 0.0, 1.0), id="box")]
+    )
+    @pytest.mark.parametrize("n", [*range(1, 11), 20, 100, 1000])
+    def test_wells(self, params, n):
+        closed = levels(params, n).pressure_total
+        assert abs(langer_pressure(params, n) - closed) <= LANGER_PRESSURE_RTOL * closed
+
+    # psi scaled by 1 + 1e-6 moves the ground-state pressure by 1e-8 relative
+    # on the shallow well and more on the others, and psi scaled by 0 drops
+    # the -(1/L) T psi (n - 1/2) term; the check sees both on every well with
+    # V0 > 0.
+    @pytest.mark.parametrize("params", PRESSURE_WELLS)
+    @pytest.mark.parametrize("factor", [0.0, 1.0 + 1e-6], ids=["dropped", "scaled"])
+    def test_detects_wrong_psi(self, params, factor, monkeypatch):
+        derive = spectra.derive_scales
+
+        def wrong_psi(well):
+            scales = derive(well)
+            return replace(scales, psi_factor=scales.psi_factor * factor)
+
+        monkeypatch.setattr(spectra, "derive_scales", wrong_psi)
+        closed = levels(params, 1).pressure_total
+        assert abs(langer_pressure(params, 1) - closed) > LANGER_PRESSURE_RTOL * closed
