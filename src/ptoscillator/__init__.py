@@ -20,7 +20,7 @@ from .oracle import (
     solve_eigenvalues,
 )
 from .parameters import DerivedScales, PTParameters, derive_scales, potential
-from .perturbation import PerturbedEnergy, perturbed_energy
+from .perturbation import perturbed_energy
 from .semiclassical import (
     ActionEvaluation,
     action,
@@ -67,7 +67,6 @@ __all__ = [
     "action",
     "qc_energy_closed",
     "qc_energy_numeric",
-    "PerturbedEnergy",
     "perturbed_energy",
     "GridSpec",
     "NumericalSpectrum",

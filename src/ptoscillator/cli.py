@@ -264,7 +264,7 @@ def _approximation_for(method: str, params: PTParameters):
         return limits.ho_limit_expansion(params, order=3).energy
     if method == "semiclassical":
         return lambda n: semiclassical.qc_energy_closed(params, n)
-    return lambda n: perturbation.perturbed_energy(params, n).total
+    return lambda n: perturbation.perturbed_energy(params, n)
 
 
 def cmd_compare(args: argparse.Namespace, params: PTParameters):

@@ -121,12 +121,14 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidParameterError, ResourceLimitError
 from .parameters import PTParameters, check_count, check_single_level, potential
+from .semiclassical import qc_energy_numeric
 from .spectra import levels
 
 __all__ = [
@@ -142,7 +144,7 @@ __all__ = [
 MAX_GRID_POINTS = 262_144
 
 _MIN_GRID_POINTS = 64
-# relative step in L of the closed-form branch of numerical_pressure
+# relative step in L of the Langer-shifted branch of numerical_pressure
 _DIFFERENCE_STEP = 1e-4
 
 
@@ -179,7 +181,7 @@ class GridSpec:
 
 
 # the two grids of the Hellmann-Feynman branch of numerical_pressure
-_PRESSURE_GRID = GridSpec(4000, richardson_levels=2)
+_PRESSURE_GRID = (4000, 8001)
 
 
 @dataclass(frozen=True, slots=True)
@@ -463,6 +465,21 @@ def _grid_levels(
     return energies, pressures
 
 
+def _kinetic_scale(params: PTParameters) -> float:
+    """T = hbar^2 alpha^2 / (2 m), computed apart from ``derive_scales`` so
+    that a fault in the closed forms' T does not reach the checks.
+
+    Raises :class:`DomainError` unless T is a normal float.
+    """
+    kinetic = (params.hbar * params.hbar) * (params.alpha * params.alpha) / (2.0 * params.mass)
+    if not sys.float_info.min <= kinetic < math.inf:
+        raise DomainError(
+            f"kinetic scale T = hbar^2 alpha^2 / (2 m) = {kinetic!r} "
+            "is outside the normal floating-point range"
+        )
+    return kinetic
+
+
 def _wall_exponents(params: PTParameters) -> tuple:
     """Exponents of the two leading error terms of a level, in h.
 
@@ -474,7 +491,7 @@ def _wall_exponents(params: PTParameters) -> tuple:
     well's q = 2 removes its h^2 log h term; a box (V0 = 0) has no wall
     term.
     """
-    kinetic = (params.hbar * params.hbar) * (params.alpha * params.alpha) / (2.0 * params.mass)
+    kinetic = _kinetic_scale(params)
     if 0.0 < params.well_depth < 3.75 * kinetic:
         return tuple(sorted((math.sqrt(1.0 + 4.0 * (params.well_depth / kinetic)), 2, 4))[:2])
     return 2, 4
@@ -517,25 +534,32 @@ def solve_eigenvalues(params: PTParameters, grid: GridSpec) -> NumericalSpectrum
 def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = False) -> float:
     """Level pressure -dE_n/dL, computed apart from the closed-form pressure.
 
-    By default the closed-form energy is differenced centrally in L at
-    relative steps 1e-4 and half of it, and the two quotients are
-    Richardson extrapolated.  With ``use_eigenvalues`` the pressure is the
+    By default the level is differenced centrally in L at relative steps
+    1e-4 and half of it, and the two quotients are Richardson
+    extrapolated.  The level is the Bohr-Sommerfeld root of the well
+    deepened by T/4, plus T/4: Langer's shift (Phys. Rev. 51, 669 (1937))
+    makes the quantization exact for this shape-invariant well (Cooper,
+    Khare & Sukhatme, Phys. Rep. 251, 267 (1995)), and the root, from the
+    tanh-sinh action and Newton's method, shares no derivation with
+    ``spectra.levels``.  With ``use_eigenvalues`` the pressure is the
     Hellmann-Feynman value of the finite-difference level on the grids
-    N = 4000 and 8001, extrapolated like the eigenvalues, which makes the
-    check fully independent of the closed forms.
+    N = 4000 and 8001, extrapolated like the eigenvalues.
     """
     check_single_level(n)
     if use_eigenvalues:
-        pressures = _grid_levels(params, _PRESSURE_GRID.grid_sequence(), n, n, True)[1]
+        pressures = _grid_levels(params, _PRESSURE_GRID, n, n, True)[1]
         columns = [pressure[0] for pressure in pressures]
         return float(_richardson(columns, _wall_exponents(params))[0])
 
     length = params.half_width
 
+    def level(delta: float) -> float:
+        well = replace(params, half_width=length * (1.0 + delta))
+        shift = _kinetic_scale(well) / 4.0
+        return qc_energy_numeric(replace(well, well_depth=well.well_depth + shift), n) + shift
+
     def quotient(delta: float) -> float:
-        upper = levels(replace(params, half_width=length * (1.0 + delta)), n).energy_total
-        lower = levels(replace(params, half_width=length * (1.0 - delta)), n).energy_total
-        return -(upper - lower) / (2.0 * length * delta)
+        return -(level(delta) - level(-delta)) / (2.0 * length * delta)
 
     quotients = [quotient(_DIFFERENCE_STEP), quotient(0.5 * _DIFFERENCE_STEP)]
     return float(_richardson(quotients, (2,))[0])

@@ -19,23 +19,15 @@ correction of the wide-well expansion.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .parameters import PTParameters, check_finite, check_single_level, derive_scales
 
 __all__ = [
-    "PerturbedEnergy",
     "perturbed_energy",
 ]
 
 
-class PerturbedEnergy(NamedTuple):
-    harmonic: float
-    quartic: float
-    total: float
-
-
-def perturbed_energy(params: PTParameters, n: int) -> PerturbedEnergy:
+def perturbed_energy(params: PTParameters, n: int) -> float:
     """Harmonic level plus first-order quartic correction, n = 1, 2, ...
 
     Raises :class:`DomainError` when the total is not finite.
@@ -44,8 +36,6 @@ def perturbed_energy(params: PTParameters, n: int) -> PerturbedEnergy:
     scales = derive_scales(params)
     kinetic = scales.kinetic_scale
     omega_quantum = 2.0 * math.sqrt(params.well_depth * kinetic)
-    harmonic = omega_quantum * (n - 0.5)
-    quartic = kinetic * (n * n - n + 0.5)
-    total = harmonic + quartic
+    total = omega_quantum * (n - 0.5) + kinetic * (n * n - n + 0.5)
     check_finite("energy", n, total)
-    return PerturbedEnergy(harmonic=harmonic, quartic=quartic, total=total)
+    return total

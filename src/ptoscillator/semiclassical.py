@@ -65,7 +65,6 @@ def turning_point(params: PTParameters, energy: float) -> float:
 class ActionEvaluation:
     """Closed-orbit action at one energy, its quadrature error bound and period dI/dE."""
 
-    turning_point: float
     action: float
     quadrature_error: float
     period: float
@@ -98,7 +97,7 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
         raise DomainError(f"action {total!r} or period {period!r} leaves the floating-point range")
     if not total_err <= _ACTION_REL_TOL * total:
         raise QuadratureError(f"quadrature error {total_err!r} exceeds {_ACTION_REL_TOL} relative")
-    return ActionEvaluation(x0, total, total_err, period)
+    return ActionEvaluation(total, total_err, period)
 
 
 def qc_energy_closed(params: PTParameters, n: int) -> float:

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
 from .parameters import (
     DerivedScales,
     PTParameters,
@@ -126,7 +125,5 @@ def spectrum_table(params: PTParameters, n_max: int) -> SpectrumTable:
     """Tabulate levels 1..n_max.  Deterministic; n_max capped at 10^6."""
     n = level_range(n_max)
     columns = levels(params, n)
-    if not np.all(np.diff(columns.energy_total) > 0.0):
-        raise InvalidParameterError("spectrum rows must increase strictly in energy")
     rows = tuple(map(Levels._make, zip(*(c.tolist() for c in columns))))
     return SpectrumTable(scales=derive_scales(params), rows=rows)

@@ -156,13 +156,13 @@ def test_criterion_6_perturbation():
     hw_tilde = 2.0 * math.sqrt(CASE_WIDE.well_depth * scales.kinetic_scale)
     for n in range(1, 6):
         exact = levels(CASE_WIDE, n).energy_total
-        perturbed = perturbed_energy(CASE_WIDE, n).total
+        perturbed = perturbed_energy(CASE_WIDE, n)
         ratio = (exact - perturbed) / (
             scales.kinetic_scale**2 / (2.0 * hw_tilde) * (n - 0.5)
         )
         assert 0.9 <= ratio <= 1.1
     ns = np.arange(1, 11, dtype=float)
-    totals = np.array([perturbed_energy(CASE_WIDE, int(n)).total for n in ns])
+    totals = np.array([perturbed_energy(CASE_WIDE, int(n)) for n in ns])
     quadratic_coeff = np.polyfit(ns, totals, 2)[0]
     assert abs(quadratic_coeff - scales.kinetic_scale) <= 1e-10
 

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from ptoscillator import cli
+from ptoscillator import cli, spectra
 
 UNIT_WELL_FLAGS = [
     "--mass", "1",
@@ -370,6 +373,23 @@ class TestValidate:
             capsys, ["validate", "--well-depth", depth, "--half-width", "1.5707963267948966"]
         )
         assert code == 0
+
+    # A closed form evaluated at mass (1 + 1e-6) is consistent with itself
+    # but 1e-6 off.  The pressure column differences the Langer-shifted
+    # Bohr-Sommerfeld level, not the closed-form energy, so it sees the fault
+    # at every level, even where the energy tolerance admits it.
+    def test_pressure_column_is_independent_of_the_closed_form(self, capsys, monkeypatch):
+        derive = spectra.derive_scales
+        monkeypatch.setattr(
+            spectra,
+            "derive_scales",
+            lambda params: derive(replace(params, mass=params.mass * (1.0 + 1e-6))),
+        )
+        code, out = run_cli(capsys, ["validate", *UNIT_WELL_FLAGS, "--tolerance", "1"])
+        assert code == 4
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 5
+        assert all(float(row["rel_err_pressure"]) > 1e-8 for row in rows)
 
     def test_coarse_grid_breaches_tolerance(self, capsys):
         code, _ = run_cli(capsys, ["validate", *UNIT_WELL_FLAGS, "--grid-n", "64"])

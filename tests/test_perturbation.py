@@ -18,29 +18,38 @@ def wide_params(lam_tilde: float, depth: float = 0.5) -> PTParameters:
     return PTParameters(mass=1.0, well_depth=depth, half_width=half_width)
 
 
+def harmonic_level(params: PTParameters, n: int) -> float:
+    """hbar w~ (n - 1/2) = 2 sqrt(V0 T) (n - 1/2), with T = hbar^2 alpha^2 / (2 m)
+    computed here, so that total - harmonic is the quartic correction."""
+    kinetic = params.hbar**2 * params.alpha**2 / (2.0 * params.mass)
+    return 2.0 * math.sqrt(params.well_depth * kinetic) * (n - 0.5)
+
+
 class TestPerturbedEnergy:
     def test_wide_well_ground_state(self, wide_well):
         # harmonic 0.005, quartic T/2 = 2.5e-5; exact E_1 = 5.0250625e-3.
-        result = perturbed_energy(wide_well, 1)
-        assert result.harmonic == pytest.approx(0.005, rel=1e-12)
-        assert result.quartic == pytest.approx(2.5e-5, rel=1e-12)
-        assert result.total == pytest.approx(5.025e-3, rel=1e-12)
+        total = perturbed_energy(wide_well, 1)
+        assert isinstance(total, float)
+        assert harmonic_level(wide_well, 1) == pytest.approx(0.005, rel=1e-12)
+        assert total - harmonic_level(wide_well, 1) == pytest.approx(2.5e-5, rel=1e-12)
+        assert total == pytest.approx(5.025e-3, rel=1e-12)
         exact = levels(wide_well, 1).energy_total
-        assert exact - result.total == pytest.approx(6.25e-8, rel=1e-4)
+        assert exact - total == pytest.approx(6.25e-8, rel=1e-4)
 
     def test_wide_well_second_level(self, wide_well):
-        result = perturbed_energy(wide_well, 2)
-        assert result.quartic == pytest.approx(1.25e-4, rel=1e-12)
+        total = perturbed_energy(wide_well, 2)
+        assert total - harmonic_level(wide_well, 2) == pytest.approx(1.25e-4, rel=1e-12)
         exact = levels(wide_well, 2).energy_total
-        assert exact - result.total == pytest.approx(1.875e-7, rel=1e-4)
+        assert exact - total == pytest.approx(1.875e-7, rel=1e-4)
 
     def test_correction_negligible_for_deep_wells(self):
-        # ratio ~ sqrt(T / V0) / 2, so each 100x in depth gains 10x
+        # quartic / harmonic ~ sqrt(T / V0) / 2, so each 100x in depth gains 10x
         half_width = 3.0
         ratios = []
         for depth in (1.0, 1e4, 1e8):
-            result = perturbed_energy(PTParameters(1.0, depth, half_width), 1)
-            ratios.append(result.quartic / result.harmonic)
+            params = PTParameters(1.0, depth, half_width)
+            harmonic = harmonic_level(params, 1)
+            ratios.append((perturbed_energy(params, 1) - harmonic) / harmonic)
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] < 1e-4
 
@@ -50,7 +59,7 @@ class TestPerturbedEnergy:
 
         scales = derive_scales(wide_well)
         ns = np.arange(1, 11, dtype=float)
-        totals = np.array([perturbed_energy(wide_well, int(n)).total for n in ns])
+        totals = np.array([perturbed_energy(wide_well, int(n)) for n in ns])
         coeffs = np.polyfit(ns, totals, 2)
         assert coeffs[0] == pytest.approx(scales.kinetic_scale, abs=1e-10)
 
@@ -62,7 +71,7 @@ class TestPerturbedEnergy:
         hw_tilde = 2.0 * math.sqrt(params.well_depth * scales.kinetic_scale)
         exact = levels(params, n).energy_total
         predicted_residual = scales.kinetic_scale**2 / (2.0 * hw_tilde) * (n - 0.5)
-        ratio = (exact - perturbed_energy(params, n).total) / predicted_residual
+        ratio = (exact - perturbed_energy(params, n)) / predicted_residual
         assert 0.9 <= ratio <= 1.1
 
     def test_rejects_bad_quantum_number(self, wide_well):

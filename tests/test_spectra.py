@@ -20,9 +20,11 @@ from ptoscillator import (
     numerical_pressure,
     spectrum_table,
 )
+from ptoscillator.spectra import MAX_TABLE_LEVELS
 
 positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
 full_range = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda exponent: 10.0**exponent)
 
 
 class TestEnergyLevel:
@@ -223,6 +225,32 @@ class TestSpectrumTable:
         energies = [row.energy_total for row in table.rows]
         assert all(b > a for a, b in zip(energies, energies[1:]))
         assert all(row.energy_total > 0 for row in table.rows)
+
+    # spectrum_table checks no ordering of its own.  levels rejects totals
+    # that are not finite, T is a normal float and n <= 10^6, so consecutive
+    # totals differ by at least about 1e-6 relative, far above rounding.
+    @given(
+        mass=log_uniform,
+        depth=st.one_of(st.just(0.0), log_uniform),
+        half_width=log_uniform,
+        hbar=log_uniform,
+        n_max=st.integers(1, 300),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_log_uniform_scales_are_ordered(self, mass, depth, half_width, hbar, n_max):
+        params = PTParameters(mass, depth, half_width, hbar)
+        try:
+            levels(params, np.arange(1, n_max + 1))
+        except PTOscillatorError:
+            return
+        energies = [row.energy_total for row in spectrum_table(params, n_max).rows]
+        assert np.all(np.diff(energies) > 0.0)
+        # the smallest relative gap, at the cap
+        try:
+            top = levels(params, np.array([MAX_TABLE_LEVELS - 1, MAX_TABLE_LEVELS]))
+        except PTOscillatorError:
+            return
+        assert top.energy_total[1] > top.energy_total[0]
 
     @pytest.mark.parametrize("lam_target", [0.5, 1.0, 5.0, 40.0])
     def test_box_oscillator_balance_flips_at_most_once(self, lam_target):
