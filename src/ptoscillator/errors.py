@@ -21,7 +21,7 @@ class QuadratureError(PTOscillatorError, RuntimeError):
 
 class ConvergenceError(PTOscillatorError, RuntimeError):
     """An iterative computation (eigenvalue bisection, extrapolation or
-    Newton's method) failed to converge."""
+    the semiclassical root) failed to converge."""
 
 
 class ResourceLimitError(PTOscillatorError, RuntimeError):

@@ -539,11 +539,11 @@ def numerical_pressure(params: PTParameters, n: int, use_eigenvalues: bool = Fal
     extrapolated.  The level is the Bohr-Sommerfeld root of the well
     deepened by T/4, plus T/4: Langer's shift (Phys. Rev. 51, 669 (1937))
     makes the quantization exact for this shape-invariant well (Cooper,
-    Khare & Sukhatme, Phys. Rep. 251, 267 (1995)), and the root, from the
-    tanh-sinh action and Newton's method, shares no derivation with
-    ``spectra.levels``.  With ``use_eigenvalues`` the pressure is the
-    Hellmann-Feynman value of the finite-difference level on the grids
-    N = 4000 and 8001, extrapolated like the eigenvalues.
+    Khare & Sukhatme, Phys. Rep. 251, 267 (1995)), and the root of the
+    tanh-sinh action shares no derivation with ``spectra.levels``.  With
+    ``use_eigenvalues`` the pressure is the Hellmann-Feynman value of the
+    finite-difference level on the grids N = 4000 and 8001, extrapolated
+    like the eigenvalues.
     """
     check_single_level(n)
     if use_eigenvalues:

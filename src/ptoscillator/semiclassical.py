@@ -16,8 +16,10 @@ so the levels invert to
         = sqrt(T) (n - 1/2) (sqrt(T) (n - 1/2) + 2 sqrt(V0)).
 
 Both routes are provided: the closed form and, to validate it, the
-action by a fixed tanh-sinh rule in numpy plus Newton's method on
-I(E) = 2 pi hbar (n - 1/2), whose slope dI/dE is the orbit period.
+action by a fixed tanh-sinh rule in numpy, whose root of
+I(E) = 2 pi hbar (n - 1/2) is found by rescaling the closed form's
+quantum s = sqrt(T) (n - 1/2): along E(s) = s (s + 2 sqrt(V0)) the
+action is proportional to s.
 """
 
 from __future__ import annotations
@@ -63,22 +65,20 @@ def turning_point(params: PTParameters, energy: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class ActionEvaluation:
-    """Closed-orbit action at one energy, its quadrature error bound and period dI/dE."""
+    """Closed-orbit action at one energy and its quadrature error bound."""
 
     action: float
     quadrature_error: float
-    period: float
 
 
 def action(params: PTParameters, energy: float) -> ActionEvaluation:
-    """Closed-orbit action and period dI/dE by the tanh-sinh rule.
+    """Closed-orbit action by the tanh-sinh rule.
 
     With x = x0 sin(theta), a = alpha x0, b = pi/2 - a and d = a (1 - sin theta)
     = 2 a sin^2 c, the gap E - V = (E + V0) sin(d) sin(2a - d) / sin^2(b + d) is free of
     cancellation; 2a - d and 2b + d sum to pi, so the sine of the smaller one is taken.
-    The period sums m / p on the same nodes; a node where p underflows to 0 adds 0.
-    Raises :class:`DomainError` when the action or the period is not finite and positive
-    and :class:`QuadratureError` when the step-1/16 rule differs by more than 1e-10 relative.
+    Raises :class:`DomainError` unless 0 < I < inf and :class:`QuadratureError` when
+    the step-1/16 rule differs by more than 1e-10 relative.
     """
     x0 = turning_point(params, energy)
     root_e, root_v = math.sqrt(energy), math.sqrt(params.well_depth)
@@ -91,13 +91,11 @@ def action(params: PTParameters, energy: float) -> ActionEvaluation:
         p = math.sqrt(2.0 * params.mass) * math.sqrt(energy + params.well_depth) * np.sqrt(ratio)
         total = float(4.0 * x0 * (_WEIGHTS @ p))
         total_err = abs(total - float(8.0 * x0 * (_WEIGHTS[::2] @ p[::2])))
-        slowness = np.divide(params.mass, p, out=np.zeros_like(p), where=p > 0.0)
-        period = float(4.0 * x0 * (_WEIGHTS @ slowness))
-    if not (math.isfinite(total) and 0.0 < period < math.inf):
-        raise DomainError(f"action {total!r} or period {period!r} leaves the floating-point range")
+    if not 0.0 < total < math.inf:
+        raise DomainError(f"action {total!r} leaves the floating-point range")
     if not total_err <= _ACTION_REL_TOL * total:
         raise QuadratureError(f"quadrature error {total_err!r} exceeds {_ACTION_REL_TOL} relative")
-    return ActionEvaluation(total, total_err, period)
+    return ActionEvaluation(total, total_err)
 
 
 def qc_energy_closed(params: PTParameters, n: int) -> float:
@@ -116,19 +114,24 @@ def qc_energy_closed(params: PTParameters, n: int) -> float:
 def qc_energy_numeric(params: PTParameters, n: int) -> float:
     """Semiclassical level energy by solving I(E) = 2 pi hbar (n - 1/2).
 
-    Newton's method on the public :func:`action`, with the orbit period
-    as slope, started from the closed form; it stops when a step is
-    within 1e-14 of the energy.  Raises :class:`ConvergenceError` when a
-    step leaves E positive and finite or 20 steps do not settle.
+    Started from the closed form, each step scales the quantum
+    s = sqrt(T) (n - 1/2) by 2 pi hbar (n - 1/2) / I(E(s)), from the public
+    :func:`action`, and sets E(s) = s (s + 2 sqrt(V0)); the action is
+    proportional to s, so one step solves it up to the quadrature error.
+    It stops when the factor is within 5e-15 of 1, which moves the energy
+    by at most 1e-14 relative, and returns the energy after that step.
+    Raises :class:`ConvergenceError` when a step leaves E positive and
+    finite or 20 steps do not settle.
     """
     energy = qc_energy_closed(params, n)
+    scaled = math.sqrt(derive_scales(params).kinetic_scale) * (n - 0.5)
     target = 2.0 * math.pi * params.hbar * (n - 0.5)
     for _ in range(20):
-        orbit = action(params, energy)
-        step = (orbit.action - target) / orbit.period
-        energy -= step
+        factor = target / action(params, energy).action
+        scaled *= factor
+        energy = scaled * (scaled + 2.0 * math.sqrt(params.well_depth))
         if not 0.0 < energy < math.inf:
-            raise ConvergenceError(f"Newton step drives the energy of level {n} to {energy!r}")
-        if abs(step) <= 1e-14 * energy:
+            raise ConvergenceError(f"scaling step drives the energy of level {n} to {energy!r}")
+        if abs(factor - 1.0) <= 5e-15:
             return energy
-    raise ConvergenceError(f"Newton's method for level {n} did not settle in 20 steps")
+    raise ConvergenceError(f"scaling of level {n} did not settle in 20 steps")

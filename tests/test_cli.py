@@ -301,6 +301,26 @@ class TestCompare:
         first = lines[1].split(",")
         assert float(first[2]) == pytest.approx(float(first[5]), rel=1e-8)
 
+    # heavy- and light-mass wells with finite action and levels, where a
+    # slope dI/dE summed as m / p would overflow or underflow
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--mass", "3.417985501781692e195", "--well-depth", "1.79e-271",
+             "--half-width", "3.37e102", "--hbar", "8.76e66"],
+            ["--mass", "2.8735985554059562e-291", "--well-depth", "3.977511803505796e218",
+             "--half-width", "8.199860413199871e-81", "--hbar", "1.2603851694181118e-123"],
+        ],
+        ids=["heavy", "light"],
+    )
+    def test_semiclassical_at_extreme_masses(self, capsys, flags):
+        code, out = run_cli(capsys, ["compare", *flags, "--method", "semiclassical", "--n-max", "3"])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert float(row[2]) == pytest.approx(float(row[5]), rel=1e-8)
+
     def test_wrong_regime_is_domain_error(self, capsys):
         code, _ = run_cli(
             capsys,

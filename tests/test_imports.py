@@ -124,6 +124,6 @@ def test_scipy_linalg_works_after_validate():
 
 
 def test_semiclassical_compare_loads_no_scipy():
-    # the action quadrature and the Newton root find are numpy only
+    # the action quadrature and its root find are numpy only
     calls = [["compare", *UNIT, "--method", "semiclassical", "--n-max", "10"]]
     assert probe(calls) == [(0, [])]

@@ -296,8 +296,8 @@ class TestFullFloatRange:
                 continue
             assert isinstance(value, float)
             assert math.isfinite(value)
-        # the Bohr-Sommerfeld quadrature at the closed-form level, and the
-        # Newton root, which must agree with the closed form when both return
+        # the Bohr-Sommerfeld quadrature at the closed-form level, and its
+        # root, which must agree with the closed form when both return
         try:
             closed = qc_energy_closed(params, n)
         except PTOscillatorError:

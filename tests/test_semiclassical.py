@@ -4,7 +4,7 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptoscillator import (
@@ -18,6 +18,7 @@ from ptoscillator import (
     action,
     derive_scales,
     levels,
+    numerical_pressure,
     qc_energy_closed,
     qc_energy_numeric,
     semiclassical,
@@ -237,22 +238,59 @@ class TestQuadratureFailure:
 
     def test_unsettled_residual_is_convergence_error(self, monkeypatch, unit_well):
         # the action stays 1e-10 above 2 pi hbar (n - 1/2) = pi whatever the energy,
-        # so every step is about 3e-10, far above 1e-14 E
+        # so every factor is 1 - 1e-10, far from 1 within 5e-15
         monkeypatch.setattr(
             semiclassical,
             "action",
-            lambda params, energy: ActionEvaluation(math.pi * (1.0 + 1e-10), 0.0, 1.0),
+            lambda params, energy: ActionEvaluation(math.pi * (1.0 + 1e-10), 0.0),
         )
         with pytest.raises(ConvergenceError, match="did not settle"):
             qc_energy_numeric(unit_well, 1)
 
-    def test_step_to_nonpositive_energy_is_convergence_error(self, monkeypatch, unit_well):
-        # a residual of 10 - pi over a unit period steps E_1 = 0.558 below zero
+    def test_step_to_overflowing_energy_is_convergence_error(self, monkeypatch, unit_well):
+        # an action of 1e-300 scales sqrt(T) / 2 by pi / 1e-300, and E_1 overflows
         monkeypatch.setattr(
-            semiclassical, "action", lambda params, energy: ActionEvaluation(10.0, 0.0, 1.0)
+            semiclassical, "action", lambda params, energy: ActionEvaluation(1e-300, 0.0)
         )
         with pytest.raises(ConvergenceError, match="drives the energy"):
             qc_energy_numeric(unit_well, 1)
+
+
+# The stop test reads only the quadrature residual, so a start from a wrong
+# T costs one more action call but does not move the root.
+class TestIndependentOfStart:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PTParameters(1.0, 0.375, math.pi / 2),
+            PTParameters(1.0, 0.5, 50 * math.pi),
+            PTParameters(1.0, 0.005, math.pi / 2),
+            PTParameters(1.0, 0.0, 1.0),
+            PTParameters(1.0, 1e4, math.pi / 2),
+        ],
+        ids=["unit", "wide", "shallow", "box", "V0=1e4"],
+    )
+    @pytest.mark.parametrize("factor", [1.0 + 1e-6, 1.5])
+    def test_wrong_kinetic_scale(self, params, factor, monkeypatch):
+        ns = (1, 2, 5, 20, 1000, 10**6)
+        roots = [qc_energy_numeric(params, n) for n in ns]
+        derive, evaluate = semiclassical.derive_scales, semiclassical.action
+        calls = []
+
+        def wrong_kinetic(well):
+            scales = derive(well)
+            return replace(scales, kinetic_scale=scales.kinetic_scale * factor)
+
+        def counted(well, energy):
+            calls.append(energy)
+            return evaluate(well, energy)
+
+        monkeypatch.setattr(semiclassical, "derive_scales", wrong_kinetic)
+        monkeypatch.setattr(semiclassical, "action", counted)
+        for n, root in zip(ns, roots):
+            calls.clear()
+            assert abs(qc_energy_numeric(params, n) - root) <= 2e-15 * root
+            assert len(calls) <= 2
 
 
 class TestDeviationFromExact:
@@ -332,8 +370,8 @@ def langer_pressure(params: PTParameters, n: int) -> float:
 # this shape-invariant well (Cooper, Khare & Sukhatme, Phys. Rep. 251, 267
 # (1995)): with V0 + T/4 in place of V0 the quantized action gives
 # T (n + lambda/2)^2 - V0 - T/4, so adding T/4 gives T n^2 + T lambda (n - 1/2).
-# The root comes from the tanh-sinh action and Newton's method, which share
-# no derivation with spectra.levels.  Measured worst relative difference:
+# The root comes from the tanh-sinh action, which shares no derivation with
+# spectra.levels.  Measured worst relative difference:
 # 1.5e-15 over 3e4 random wells with n up to 1e6.
 LANGER_RTOL = 4e-15
 
@@ -375,19 +413,23 @@ class TestLangerShiftedRoot:
             assert abs(shifted - closed) <= LANGER_RTOL * closed
 
     # Over every float PTParameters accepts each side is finite or a package
-    # error.  At the extremes one side may raise alone: levels when its
-    # pressure 2 E / L overflows to a NaN total while E is finite (T = 1.3e231,
-    # L = 1.8e-97), and the action when its period m / p overflows while the
-    # level is finite (m = 3.4e195, E = 1.6e-255).  Where both return they
-    # agree.
+    # error, and wherever levels returns the Langer side returns too.  At the
+    # extremes levels may raise alone, when its pressure 2 E / L overflows to
+    # a NaN total while E is finite (T = 1.3e231, L = 1.8e-97).  Where both
+    # return they agree.
     @given(mass=full_range, depth=depths, half_width=full_range, hbar=full_range,
            n=st.integers(1, 10**6))
+    @example(mass=3.417985501781692e195, depth=1.79e-271, half_width=3.37e102,
+             hbar=8.76e66, n=806826)
+    @example(mass=2.8735985554059562e-291, depth=3.977511803505796e218,
+             half_width=8.199860413199871e-81, hbar=1.2603851694181118e-123, n=10**6)
     @settings(max_examples=300, deadline=None)
     def test_full_float_range(self, mass, depth, half_width, hbar, n):
         shifted, closed = langer_pair(PTParameters(mass, depth, half_width, hbar), n)
         raised = [isinstance(side, PTOscillatorError) for side in (shifted, closed)]
         for side, error in zip((shifted, closed), raised):
             assert error or math.isfinite(side)
+        assert raised[1] or not raised[0]
         if not any(raised):
             assert abs(shifted - closed) <= LANGER_RTOL * closed
 
@@ -462,3 +504,33 @@ class TestLangerShiftedPressure:
         monkeypatch.setattr(spectra, "derive_scales", wrong_psi)
         closed = levels(params, 1).pressure_total
         assert abs(langer_pressure(params, 1) - closed) > LANGER_PRESSURE_RTOL * closed
+
+
+# Wells where the action and the level are finite but a slope dI/dE, the
+# orbit period summed as m / p on the quadrature nodes, would overflow
+# (heavy mass) or underflow to 0 (light mass); the root needs no slope.
+PERIOD_RANGE_WELLS = [
+    pytest.param(PTParameters(3.417985501781692e195, 1.79e-271, 3.37e102, 8.76e66), id="heavy"),
+    pytest.param(
+        PTParameters(
+            2.8735985554059562e-291, 3.977511803505796e218,
+            8.199860413199871e-81, 1.2603851694181118e-123,
+        ),
+        id="light",
+    ),
+]
+
+
+class TestExtremeMasses:
+    @pytest.mark.parametrize("params", PERIOD_RANGE_WELLS)
+    @pytest.mark.parametrize("n", [1, 3, 806826, 10**6])
+    def test_root_matches_closed_form(self, params, n):
+        closed = qc_energy_closed(params, n)
+        assert abs(qc_energy_numeric(params, n) - closed) <= 1e-13 * closed
+
+    @pytest.mark.parametrize("params", PERIOD_RANGE_WELLS)
+    @pytest.mark.parametrize("n", [1, 3, 10**6])
+    def test_langer_pressure_matches_levels(self, params, n):
+        # the heavy well's pressure 2 E / L underflows to 0 on both sides
+        closed = levels(params, n).pressure_total
+        assert abs(numerical_pressure(params, n) - closed) <= LANGER_PRESSURE_RTOL * closed
