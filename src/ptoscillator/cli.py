@@ -50,6 +50,15 @@ _VALIDATE_COLUMNS = (
 
 _PRESSURE_TOLERANCE = 1e-8
 
+# compare's methods, in --method's order: each maps the well to its
+# energy of level n
+_APPROXIMATIONS = {
+    "fp-limit": lambda params: limits.fp_limit_expansion(params, order=2).energy,
+    "ho-limit": lambda params: limits.ho_limit_expansion(params, order=3).energy,
+    "semiclassical": lambda params: functools.partial(semiclassical.qc_energy_closed, params),
+    "perturbation": lambda params: functools.partial(perturbation.perturbed_energy, params),
+}
+
 
 def _fmt(value: float) -> str:
     """Fixed 15-significant-digit float format; '.' decimal separator."""
@@ -86,20 +95,16 @@ def _json_text(document) -> str:
     return _json_canonical(document) + "\n"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return _fmt(value)
-
-
 def _render(fmt: str, meta: dict, columns: tuple[str, ...], rows: list) -> str:
     """The one writer: CSV or canonical JSON of a subcommand's table."""
     if fmt == "json":
         return _json_text({**meta, "rows": [dict(zip(columns, row)) for row in rows]})
     lines = [",".join(columns)]
-    lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)
+    # the only ints in CSV rows are level numbers up to 10^6, which .15g
+    # prints exactly as str does; JSON keeps its int branch for sweep's n
+    lines.extend(
+        ",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) for row in rows
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -139,9 +144,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_sweep.add_argument("--n-max", type=int, default=1, help="fixed level n (default 1)")
 
     p_cmp = add_command("compare", "exact levels vs an approximation")
-    p_cmp.add_argument(
-        "--method", choices=("fp-limit", "ho-limit", "semiclassical", "perturbation")
-    )
+    p_cmp.add_argument("--method", choices=tuple(_APPROXIMATIONS))
     p_cmp.add_argument("--n-max", type=int, default=10, help="levels 1..n-max (default 10)")
 
     p_val = add_command("validate", "closed forms vs the finite-difference oracle")
@@ -257,32 +260,25 @@ def cmd_sweep(args: argparse.Namespace, params: PTParameters):
     return EXIT_OK, {"sweep_var": args.sweep_var, "n": n}, _SWEEP_COLUMNS, rows
 
 
-def _approximation_for(method: str, params: PTParameters):
-    if method == "fp-limit":
-        return limits.fp_limit_expansion(params, order=2).energy
-    if method == "ho-limit":
-        return limits.ho_limit_expansion(params, order=3).energy
-    if method == "semiclassical":
-        return lambda n: semiclassical.qc_energy_closed(params, n)
-    return lambda n: perturbation.perturbed_energy(params, n)
+def _rows(*columns) -> list[tuple]:
+    """Table rows of plain Python values from equal-length columns."""
+    return list(zip(*(np.asarray(column).tolist() for column in columns)))
 
 
 def cmd_compare(args: argparse.Namespace, params: PTParameters):
     if args.method is None:
         raise InvalidParameterError("compare requires --method")
-    numeric_column = args.method == "semiclassical"
-    approximate = _approximation_for(args.method, params)
-    exact_energies = spectra.levels(params, spectra.level_range(args.n_max)).energy_total
-    rows = []
-    for n, exact in enumerate(exact_energies.tolist(), start=1):
-        approx = approximate(n)
-        abs_err = abs(exact - approx)
-        row = (n, exact, approx, abs_err, abs_err / abs(exact))
-        if numeric_column:
-            row += (semiclassical.qc_energy_numeric(params, n),)
-        rows.append(row)
-    columns = _COMPARE_COLUMNS + (("E_qc_numeric",) if numeric_column else ())
-    return EXIT_OK, {"method": args.method}, columns, rows
+    approximate = _APPROXIMATIONS[args.method](params)
+    n = spectra.level_range(args.n_max)
+    exact = spectra.levels(params, n).energy_total
+    approx = np.array([approximate(k) for k in n.tolist()])
+    abs_err = np.abs(exact - approx)
+    table = [n, exact, approx, abs_err, abs_err / np.abs(exact)]
+    columns = _COMPARE_COLUMNS
+    if args.method == "semiclassical":
+        table.append([semiclassical.qc_energy_numeric(params, k) for k in n.tolist()])
+        columns += ("E_qc_numeric",)
+    return EXIT_OK, {"method": args.method}, columns, _rows(*table)
 
 
 def cmd_validate(args: argparse.Namespace, params: PTParameters):
@@ -293,27 +289,19 @@ def cmd_validate(args: argparse.Namespace, params: PTParameters):
     grid = oracle.GridSpec(
         interior_points=args.grid_n, richardson_levels=3, level_count=args.levels
     )
-    numeric = oracle.solve_eigenvalues(params, grid)
+    numeric_energy = oracle.solve_eigenvalues(params, grid).eigenvalues
     closed = spectra.levels(params, np.arange(1, args.levels + 1))
-    all_ok = True
-    rows = []
-    for n, closed_energy, closed_pressure in zip(
-        closed.n.tolist(), closed.energy_total.tolist(), closed.pressure_total.tolist()
-    ):
-        numeric_energy = float(numeric.eigenvalues[n - 1])
-        energy_err = abs(numeric_energy - closed_energy) / abs(closed_energy)
-        numeric_pressure = oracle.numerical_pressure(params, n)
-        pressure_err = abs(numeric_pressure - closed_pressure) / abs(closed_pressure)
-        if energy_err > args.tolerance or pressure_err > _PRESSURE_TOLERANCE:
-            all_ok = False
-        rows.append((n, closed_energy, numeric_energy, energy_err,
-                     closed_pressure, numeric_pressure, pressure_err))
-    meta = {
-        "passed": all_ok,
-        "tolerance_energy": args.tolerance,
-        "tolerance_pressure": _PRESSURE_TOLERANCE,
-    }
-    return EXIT_OK if all_ok else EXIT_TOLERANCE, meta, _VALIDATE_COLUMNS, rows
+    energy_err = np.abs(numeric_energy - closed.energy_total) / np.abs(closed.energy_total)
+    numeric_pressure = np.array([oracle.numerical_pressure(params, n) for n in closed.n.tolist()])
+    pressure_err = np.abs(numeric_pressure - closed.pressure_total) / np.abs(closed.pressure_total)
+    # a NaN error fails: <= is False for it
+    passed = bool(np.all(energy_err <= args.tolerance)
+                  and np.all(pressure_err <= _PRESSURE_TOLERANCE))
+    meta = {"passed": passed, "tolerance_energy": args.tolerance,
+            "tolerance_pressure": _PRESSURE_TOLERANCE}
+    rows = _rows(closed.n, closed.energy_total, numeric_energy, energy_err,
+                 closed.pressure_total, numeric_pressure, pressure_err)
+    return EXIT_OK if passed else EXIT_TOLERANCE, meta, _VALIDATE_COLUMNS, rows
 
 
 _COMMANDS = {

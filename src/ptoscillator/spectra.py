@@ -17,6 +17,7 @@ evaluates all of these at once, for one level or an array of levels.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,7 +91,11 @@ def levels(params: PTParameters, n) -> Levels:
         energy_ho = s.oscillator_quantum * (k - 0.5)
         energy_total = energy_fp + energy_ho
         pressure_fp = 2.0 * inv_l * energy_fp
-        pressure_ho = 2.0 * inv_l * energy_ho - inv_l * s.kinetic_scale * s.psi_factor * (k - 0.5)
+        wall = inv_l * s.kinetic_scale * s.psi_factor * (k - 0.5)
+        if inv_l * s.kinetic_scale < sys.float_info.min:
+            # (1/L) T underflows, and would lose bits or all of the term
+            wall = inv_l * (s.kinetic_scale * s.psi_factor * (k - 0.5))
+        pressure_ho = 2.0 * inv_l * energy_ho - wall
         pressure_total = pressure_fp + pressure_ho
         eta = k * k / (s.lambda_exact * (k - 0.5))  # inf at the zero-depth sentinel
     finite = np.isfinite(energy_total) & np.isfinite(pressure_total)

@@ -6,7 +6,17 @@ from dataclasses import replace
 
 import pytest
 
-from ptoscillator import cli, spectra
+from ptoscillator import (
+    GridSpec,
+    PTParameters,
+    cli,
+    limits,
+    numerical_pressure,
+    oracle,
+    perturbation,
+    semiclassical,
+    spectra,
+)
 
 UNIT_WELL_FLAGS = [
     "--mass", "1",
@@ -26,6 +36,24 @@ def config_options():
         for option in action.option_strings
         if option.startswith("--") and option not in ("--help", "--config")
     ]
+
+
+# (well depth, half-width, approximation of the well's level n) for each
+# compare method, on a well inside the method's regime
+METHOD_WELLS = {
+    "fp-limit": (
+        0.005, math.pi / 2, lambda params: limits.fp_limit_expansion(params, order=2).energy
+    ),
+    "ho-limit": (
+        0.5, 50 * math.pi, lambda params: limits.ho_limit_expansion(params, order=3).energy
+    ),
+    "semiclassical": (
+        0.375, math.pi / 2, lambda params: lambda n: semiclassical.qc_energy_closed(params, n)
+    ),
+    "perturbation": (
+        0.5, 50 * math.pi, lambda params: lambda n: perturbation.perturbed_energy(params, n)
+    ),
+}
 
 
 def run_cli(capsys, argv):
@@ -349,6 +377,37 @@ class TestCompare:
         abs_err = float(out.splitlines()[1].split(",")[3])
         assert abs_err == pytest.approx(6.25e-8, rel=1e-3)
 
+    # each method on a well of its regime: every printed cell is the value
+    # computed one level at a time in Python floats
+    @pytest.mark.parametrize("method", list(METHOD_WELLS))
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_are_the_per_level_values(self, capsys, method, fmt):
+        depth, half_width, approximation = METHOD_WELLS[method]
+        params = PTParameters(1.0, depth, half_width)
+        code, out = run_cli(
+            capsys,
+            ["compare", "--well-depth", repr(depth), "--half-width", repr(half_width),
+             "--method", method, "--n-max", "200", "--format", fmt],
+        )
+        assert code == 0
+        approximate = approximation(params)
+        expected = []
+        for n in range(1, 201):
+            exact = spectra.levels(params, n).energy_total
+            approx = approximate(n)
+            row = [n, exact, approx, abs(exact - approx), abs(exact - approx) / abs(exact)]
+            if method == "semiclassical":
+                row.append(semiclassical.qc_energy_numeric(params, n))
+            expected.append([str(row[0])] + [format(value, ".15g") for value in row[1:]])
+        if fmt == "csv":
+            assert [line.split(",") for line in out.splitlines()[1:]] == expected
+        else:
+            document = json.loads(out)
+            assert document["method"] == method
+            columns = [*cli._COMPARE_COLUMNS, "E_qc_numeric"][: len(expected[0])]
+            got = [[row[column] for column in columns] for row in document["rows"]]
+            assert got == [[int(row[0])] + [float(cell) for cell in row[1:]] for row in expected]
+
     def test_method_required(self, capsys):
         code, _ = run_cli(capsys, ["compare", *UNIT_WELL_FLAGS])
         assert code == 3
@@ -411,9 +470,41 @@ class TestValidate:
         assert len(rows) == 5
         assert all(float(row["rel_err_pressure"]) > 1e-8 for row in rows)
 
+    # a NaN error is no pass: a check with > would let it through
+    def test_nan_pressure_breaches_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "numerical_pressure", lambda params, n: math.nan)
+        code, out = run_cli(capsys, ["validate", *UNIT_WELL_FLAGS, "--format", "json"])
+        assert code == 4
+        document = json.loads(out)
+        assert document["passed"] is False
+        assert [row["rel_err_pressure"] for row in document["rows"]] == [None] * 5
+
     def test_coarse_grid_breaches_tolerance(self, capsys):
         code, _ = run_cli(capsys, ["validate", *UNIT_WELL_FLAGS, "--grid-n", "64"])
         assert code == 4
+
+    # passed, the exit status and the stderr line follow from each level's
+    # errors against both tolerances, recomputed one level at a time
+    @pytest.mark.parametrize("grid_n, status", [(4000, 0), (64, 4)])
+    def test_status_follows_the_per_level_errors(self, capsys, unit_well, grid_n, status):
+        code = cli.main(["validate", *UNIT_WELL_FLAGS, "--grid-n", str(grid_n), "--format", "json"])
+        captured = capsys.readouterr()
+        document = json.loads(captured.out)
+        grid = GridSpec(interior_points=grid_n, richardson_levels=3, level_count=5)
+        eigenvalues = oracle.solve_eigenvalues(unit_well, grid).eigenvalues.tolist()
+        passed = True
+        for n, row in enumerate(document["rows"], start=1):
+            closed = spectra.levels(unit_well, n)
+            energy_err = abs(eigenvalues[n - 1] - closed.energy_total) / closed.energy_total
+            pressure = numerical_pressure(unit_well, n)
+            pressure_err = abs(pressure - closed.pressure_total) / closed.pressure_total
+            assert row["rel_err_energy"] == float(format(energy_err, ".15g"))
+            assert row["rel_err_pressure"] == float(format(pressure_err, ".15g"))
+            passed = passed and energy_err <= 1e-6 and pressure_err <= 1e-8
+        assert (document["tolerance_energy"], document["tolerance_pressure"]) == (1e-6, 1e-8)
+        assert document["passed"] is passed
+        assert code == status == (0 if passed else 4)
+        assert ("validation tolerance breached" in captured.err) is not passed
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-6"])
     def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):

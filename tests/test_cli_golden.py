@@ -52,6 +52,13 @@ def test_stdout_matches_golden_bytes(capsys, case, fmt):
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 
+# a negative zero depth is the box: lambda +0.0, eta +inf, FP-dominated
+def test_negative_zero_depth_prints_the_box(capsys):
+    argv = ["spectrum", "--well-depth", "-0.0", "--half-width", "1", "--n-max", "6"]
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / "spectrum_box.csv").read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io

@@ -1,9 +1,11 @@
 import math
 import struct
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptoscillator import (
@@ -25,6 +27,9 @@ from ptoscillator.spectra import MAX_TABLE_LEVELS
 positive = st.floats(min_value=1e-2, max_value=1e2, allow_nan=False, allow_infinity=False)
 full_range = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 log_uniform = st.floats(min_value=-300.0, max_value=300.0).map(lambda exponent: 10.0**exponent)
+wide_log_uniform = st.floats(min_value=-250.0, max_value=250.0).map(
+    lambda exponent: 10.0**exponent
+)
 
 
 class TestEnergyLevel:
@@ -151,6 +156,40 @@ class TestPressureLevel:
         assert level.pressure_fp > 0.0
         assert level.pressure_ho >= 0.0
 
+    # In about one well in a hundred of this range (1/L) T underflows; taken
+    # first, it kept a subnormal's few bits, and the total of the example
+    # read 1.32e-298, twice the true 6.62e-299.
+    @given(
+        mass=wide_log_uniform,
+        depth=wide_log_uniform,
+        half_width=wide_log_uniform,
+        hbar=wide_log_uniform,
+        n=st.sampled_from([1, 2, 10, 1000]),
+    )
+    @example(
+        mass=2.245375004865126e164,
+        depth=5.845138798837301e-161,
+        half_width=2.6262229248788474e98,
+        hbar=8.058064713421376e60,
+        n=1,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_total_matches_extended_precision(self, mass, depth, half_width, hbar, n):
+        params = PTParameters(mass, depth, half_width, hbar)
+        try:
+            closed = levels(params, n).pressure_total
+        except PTOscillatorError:
+            return
+        with mp.workdps(60):
+            length = mp.mpf(half_width)
+            kinetic = mp.mpf(hbar) ** 2 * (mp.pi / (2 * length)) ** 2 / (2 * mp.mpf(mass))
+            ratio = 4 * mp.mpf(depth) / kinetic
+            lam = ratio / (1 + mp.sqrt(1 + ratio))
+            exact = (2 * kinetic * n**2 + kinetic * lam**2 * (n - mp.mpf(0.5)) / (1 + lam)) / length
+            if not sys.float_info.min <= exact <= sys.float_info.max:
+                return
+            assert abs(closed - exact) <= 1e-13 * exact
+
 
 class TestRegimeRatio:
     def test_unit_well_threshold_case(self, unit_well):
@@ -182,6 +221,19 @@ class TestRegimeRatio:
         level = levels(box, 4)
         assert level.regime_ratio == math.inf
         assert level.regime_label == FP_DOMINATED
+
+    # a negative zero depth is the box: lambda is +0.0, not -0.0, so eta is
+    # +inf and every level box-dominated
+    def test_negative_zero_depth_is_the_box(self):
+        params = PTParameters(1.0, -0.0, 1.0)
+        assert _bits(derive_scales(params).lambda_exact) == _bits(0.0)
+        n = np.arange(1, 7)
+        negative = levels(params, n)
+        assert negative.regime_ratio.tolist() == [math.inf] * 6
+        assert negative.regime_label.tolist() == [FP_DOMINATED] * 6
+        box = levels(PTParameters(1.0, 0.0, 1.0), n)
+        for got, want in zip(negative, box):
+            assert list(map(_bits, got.tolist())) == list(map(_bits, want.tolist()))
 
     @given(depth=positive, half_width=positive, n=st.integers(1, 60))
     @settings(max_examples=150)
