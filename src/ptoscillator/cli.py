@@ -16,12 +16,27 @@ that only other subcommands take are ignored.
 Exit status: 0 success, 2 usage error (including an unwritable
 ``--output``), 3 domain or precondition error, 4 validation tolerance
 breach.
+
+A call loads only the submodules its subcommand runs: ``spectrum`` and
+``sweep`` need ``parameters`` and ``spectra`` alone, and the oracle, the
+limit expansions, the semiclassical and the perturbative modules are
+imported where a subcommand or ``--method`` first uses them.  Run as a program (``python
+-m ptoscillator.cli`` or the ``ptoscillator`` script), the process ends
+with the call, so the cyclic garbage collector is switched off and
+everything left is frozen before exit (see :func:`_script`).
 """
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    # no collector passes over the objects numpy's import creates
+    gc.disable()
+
 import argparse
 import functools
+import importlib
 import json
 import math
 import sys
@@ -30,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import limits, oracle, perturbation, semiclassical, spectra
-from .errors import InvalidParameterError, PTOscillatorError, ResourceLimitError
+from . import spectra
+from .errors import DomainError, InvalidParameterError, PTOscillatorError, ResourceLimitError
 from .parameters import PTParameters, derive_scales
 
 __all__ = ["main"]
@@ -50,13 +65,23 @@ _VALIDATE_COLUMNS = (
 
 _PRESSURE_TOLERANCE = 1e-8
 
+
+def _module(name: str):
+    """The package's submodule ``name``, imported on first use."""
+    return importlib.import_module(f".{name}", __package__)
+
+
 # compare's methods, in --method's order: each maps the well to its
-# energy of level n
+# energy of level n, and loads its module only when it is chosen
 _APPROXIMATIONS = {
-    "fp-limit": lambda params: limits.fp_limit_expansion(params, order=2).energy,
-    "ho-limit": lambda params: limits.ho_limit_expansion(params, order=3).energy,
-    "semiclassical": lambda params: functools.partial(semiclassical.qc_energy_closed, params),
-    "perturbation": lambda params: functools.partial(perturbation.perturbed_energy, params),
+    "fp-limit": lambda params: _module("limits").fp_limit_expansion(params, order=2).energy,
+    "ho-limit": lambda params: _module("limits").ho_limit_expansion(params, order=3).energy,
+    "semiclassical": lambda params: functools.partial(
+        _module("semiclassical").qc_energy_closed, params
+    ),
+    "perturbation": lambda params: functools.partial(
+        _module("perturbation").perturbed_energy, params
+    ),
 }
 
 
@@ -276,7 +301,8 @@ def cmd_compare(args: argparse.Namespace, params: PTParameters):
     table = [n, exact, approx, abs_err, abs_err / np.abs(exact)]
     columns = _COMPARE_COLUMNS
     if args.method == "semiclassical":
-        table.append([semiclassical.qc_energy_numeric(params, k) for k in n.tolist()])
+        qc_energy_numeric = _module("semiclassical").qc_energy_numeric
+        table.append([qc_energy_numeric(params, k) for k in n.tolist()])
         columns += ("E_qc_numeric",)
     return EXIT_OK, {"method": args.method}, columns, _rows(*table)
 
@@ -286,11 +312,22 @@ def cmd_validate(args: argparse.Namespace, params: PTParameters):
         raise InvalidParameterError(
             f"--tolerance must be positive and finite, got {args.tolerance!r}"
         )
+    oracle = _module("oracle")
     grid = oracle.GridSpec(
         interior_points=args.grid_n, richardson_levels=3, level_count=args.levels
     )
-    numeric_energy = oracle.solve_eigenvalues(params, grid).eigenvalues
+    # the closed forms come first: where a pressure is 0 or subnormal it
+    # has no relative error to check, and the oracle does not run
     closed = spectra.levels(params, np.arange(1, args.levels + 1))
+    underflow = np.abs(closed.pressure_total) < sys.float_info.min
+    if underflow.any():
+        first = np.argmax(underflow)
+        raise DomainError(
+            f"closed-form pressure of level {closed.n[first]} is "
+            f"{float(closed.pressure_total[first])!r}, below the normal floating-point range, "
+            "so its relative error cannot be checked"
+        )
+    numeric_energy = oracle.solve_eigenvalues(params, grid).eigenvalues
     energy_err = np.abs(numeric_energy - closed.energy_total) / np.abs(closed.energy_total)
     numeric_pressure = np.array([oracle.numerical_pressure(params, n) for n in closed.n.tolist()])
     pressure_err = np.abs(numeric_pressure - closed.pressure_total) / np.abs(closed.pressure_total)
@@ -340,5 +377,20 @@ def main(argv: list[str] | None = None) -> int:
     return status
 
 
+def _script() -> int:
+    """``main`` for a process that ends with the call: the entry of
+    ``python -m ptoscillator.cli`` and of the ``ptoscillator`` script.
+
+    The cyclic collector stays off, and whatever is left is frozen before
+    exit, so the interpreter's final collections do not walk numpy's heap.
+    A caller of ``main`` in a process that goes on keeps its collector.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_script())

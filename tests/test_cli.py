@@ -528,6 +528,37 @@ class TestValidate:
         document = json.loads(out)
         assert document["passed"] is False
 
+    # wells whose closed-form pressure is 0 or subnormal: its relative error
+    # means nothing there, so validate refuses the well before the oracle
+    # runs (on the first two the oracle overflowed and returned energies
+    # 6.8e7 relative off)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "well, pressure",
+        [
+            (["--mass", "1e220", "--half-width", "1e40", "--levels", "2"], "0.0"),
+            (["--mass", "2.78e52", "--half-width", "3.6e76", "--hbar", "1.27e-26"], "0.0"),
+            (["--well-depth", "0", "--half-width", "3e103"], "9.1385225936014e-311"),
+        ],
+        ids=["heavy-wide", "box", "subnormal-box"],
+    )
+    def test_underflowing_closed_pressure_is_domain_error(
+        self, capsys, monkeypatch, well, pressure
+    ):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(oracle, "solve_eigenvalues", no_oracle)
+        monkeypatch.setattr(oracle, "numerical_pressure", no_oracle)
+        code = cli.main(["validate", *well])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: closed-form pressure of level 1 is {pressure}, below the normal "
+            "floating-point range, so its relative error cannot be checked\n"
+        )
+
 
 class TestConfigFile:
     def test_config_supplies_missing_flags(self, capsys, tmp_path):

@@ -1,11 +1,18 @@
-"""Which names the package exports, and which scipy modules the CLI
-subcommands load.
+"""Which names the package exports, and which package and scipy modules
+the CLI subcommands load.
 
-scipy is imported only inside the oracle functions that call its
-eigensolver, so the closed-form subcommands and the Bohr-Sommerfeld
-comparison never pay for its import, and the oracle loads scipy's LAPACK
-extension without the scipy.linalg package.  Each probe runs in a fresh
-interpreter, because this process has loaded scipy already.
+The package resolves its exported names on first access, and the CLI
+imports the oracle, limit, semiclassical and perturbation modules only
+in the subcommand or method that runs them, so ``spectrum`` and
+``sweep`` load neither those modules nor scipy.  scipy is imported only
+inside the oracle functions that call its eigensolver, so the
+closed-form subcommands and the Bohr-Sommerfeld comparison never pay
+for its import, and the oracle loads scipy's LAPACK extension without
+the scipy.linalg package.  Each probe runs in a fresh interpreter,
+because this process has loaded every module already.
+
+The program's entry also leaves the cyclic collector off and the heap
+frozen for exit; a caller of ``cli.main`` keeps its collector as it was.
 """
 
 import importlib
@@ -15,6 +22,8 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ptoscillator
 
@@ -52,17 +61,79 @@ def test_every_exported_name_exists():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def probe(calls: list[list[str]]) -> list[tuple[int, list[str]]]:
+def run_probe(script: str, *args: str):
+    """The JSON that ``script`` prints, run in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(calls)],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
         check=True,
         timeout=120,
     )
-    return [tuple(entry) for entry in json.loads(done.stdout)]
+    return json.loads(done.stdout)
+
+
+def probe(calls: list[list[str]]) -> list[tuple[int, list[str]]]:
+    return [tuple(entry) for entry in run_probe(PROBE, json.dumps(calls))]
+
+
+# Runs one argv through cli.main and prints the exit code and the package
+# modules loaded.
+MODULES = """
+import contextlib, io, json, sys
+from ptoscillator import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ptoscillator."))]))
+"""
+
+# what every subcommand loads: the closed forms and their checks
+BASE = ["ptoscillator.cli", "ptoscillator.errors", "ptoscillator.parameters", "ptoscillator.spectra"]
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["spectrum", *UNIT, "--n-max", "5"], []),
+        (["sweep", *UNIT, "--sweep-var", "well-depth", "--from", "0", "--to", "2", "--steps", "3"],
+         []),
+        (["sweep", "--well-depth", "0.5", "--sweep-var", "half-width", "--from", "1", "--to", "2",
+          "--steps", "3"], []),
+        (["compare", *SHALLOW, "--method", "fp-limit", "--n-max", "3"], ["limits"]),
+        (["compare", *WIDE, "--method", "ho-limit", "--n-max", "3"], ["limits"]),
+        (["compare", *UNIT, "--method", "semiclassical", "--n-max", "3"], ["semiclassical"]),
+        (["compare", *WIDE, "--method", "perturbation", "--n-max", "3"], ["perturbation"]),
+        # the oracle places its levels with the Bohr-Sommerfeld root
+        (["validate", *UNIT, "--grid-n", "200", "--levels", "2", "--tolerance", "1"],
+         ["oracle", "semiclassical"]),
+    ],
+    ids=["spectrum", "sweep-depth", "sweep-width", "fp-limit", "ho-limit", "semiclassical",
+         "perturbation", "validate"],
+)
+def test_each_call_loads_only_its_own_modules(argv, extra):
+    expected = sorted([*BASE, *(f"ptoscillator.{name}" for name in extra)])
+    assert run_probe(MODULES, json.dumps(argv)) == [0, expected]
+
+
+# Imports the package, then reads one exported name.
+BARE_IMPORT = """
+import json, sys
+import ptoscillator
+before = [sorted(m for m in sys.modules if m.startswith("ptoscillator")), "numpy" in sys.modules]
+ptoscillator.levels
+after = sorted(m for m in sys.modules if m.startswith("ptoscillator"))
+print(json.dumps([before, after]))
+"""
+
+
+def test_bare_import_loads_no_numpy():
+    before, after = run_probe(BARE_IMPORT)
+    assert before == [["ptoscillator"], False]
+    assert after == [
+        "ptoscillator", "ptoscillator.errors", "ptoscillator.parameters", "ptoscillator.spectra"
+    ]
 
 
 def test_closed_form_subcommands_never_load_scipy():
@@ -110,20 +181,37 @@ print(json.dumps([
 
 
 def test_scipy_linalg_works_after_validate():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     argv = ["validate", *UNIT, "--grid-n", "200", "--levels", "2", "--tolerance", "1"]
-    done = subprocess.run(
-        [sys.executable, "-c", AFTER_VALIDATE, json.dumps(argv)],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=120,
-    )
-    assert json.loads(done.stdout) == [0, True, True, True]
+    assert run_probe(AFTER_VALIDATE, json.dumps(argv)) == [0, True, True, True]
 
 
 def test_semiclassical_compare_loads_no_scipy():
     # the action quadrature and its root find are numpy only
     calls = [["compare", *UNIT, "--method", "semiclassical", "--n-max", "10"]]
     assert probe(calls) == [(0, [])]
+
+
+# the program's entry leaves the collector off and the heap frozen for
+# the interpreter's exit
+def test_entry_switches_the_collector_off_and_freezes():
+    script = (
+        "import contextlib, gc, io, json, sys\n"
+        "from ptoscillator import cli\n"
+        "sys.argv = ['ptoscillator', *json.loads(sys.argv[1])]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli._script()\n"
+        "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))\n"
+    )
+    assert run_probe(script, json.dumps(["spectrum", *UNIT])) == [0, False, True]
+
+
+# a caller of main in its own process keeps an enabled, unfrozen collector
+def test_main_keeps_the_callers_collector():
+    script = (
+        "import contextlib, gc, io, json, sys\n"
+        "from ptoscillator import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))\n"
+    )
+    assert run_probe(script, json.dumps(["spectrum", *UNIT])) == [0, True, 0]
