@@ -20,10 +20,15 @@ breach.
 A call loads only the submodules its subcommand runs: ``spectrum`` and
 ``sweep`` need ``parameters`` and ``spectra`` alone, and the oracle, the
 limit expansions, the semiclassical and the perturbative modules are
-imported where a subcommand or ``--method`` first uses them.  Run as a program (``python
--m ptoscillator.cli`` or the ``ptoscillator`` script), the process ends
-with the call, so the cyclic garbage collector is switched off and
-everything left is frozen before exit (see :func:`_script`).
+imported where a subcommand or ``--method`` first uses them.  Nor do
+``spectrum``, ``sweep`` and ``compare`` (bar its semiclassical method,
+whose action quadrature is numpy's) import numpy: they evaluate the
+closed forms one level or one sweep point at a time in Python floats,
+and build their columns as lists; ``validate`` imports it where it
+runs.  Run as a program (``python -m ptoscillator.cli`` or the
+``ptoscillator`` script), the process ends with the call, so the cyclic
+garbage collector is switched off and everything left is frozen before
+exit (see :func:`_script`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import gc
 
 if __name__ == "__main__":
-    # no collector passes over the objects numpy's import creates
+    # no collector passes over the objects the imports create
     gc.disable()
 
 import argparse
@@ -43,11 +48,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import spectra
 from .errors import DomainError, InvalidParameterError, PTOscillatorError, ResourceLimitError
-from .parameters import PTParameters, derive_scales
+from .parameters import (
+    PTParameters,
+    check_count,
+    check_finite,
+    check_single_level,
+    derive_scales,
+)
 
 __all__ = ["main"]
 
@@ -274,37 +283,55 @@ def cmd_sweep(args: argparse.Namespace, params: PTParameters):
         raise InvalidParameterError("sweep requires --from < --to")
     field = args.sweep_var.replace("-", "_")
     n = args.n_max
+    check_single_level(n)
     rows = []
-    for value in np.linspace(args.sweep_from, args.sweep_to, args.steps):
-        point = replace(params, **{field: float(value)})
+    for value in _linspace(args.sweep_from, args.sweep_to, args.steps):
+        point = replace(params, **{field: value})
         scales = derive_scales(point)
-        level = spectra.levels(point, n)
+        level = spectra._level(scales, 1.0 / point.half_width, n)
         s_eff = level.pressure_total * point.half_width / level.energy_total
-        rows.append((float(value), scales.lambda_exact, scales.oscillator_quantum,
+        rows.append((value, scales.lambda_exact, scales.oscillator_quantum,
                      level.energy_total, level.pressure_total, s_eff, scales.n_critical))
     return EXIT_OK, {"sweep_var": args.sweep_var, "n": n}, _SWEEP_COLUMNS, rows
 
 
-def _rows(*columns) -> list[tuple]:
-    """Table rows of plain Python values from equal-length columns."""
-    return list(zip(*(np.asarray(column).tolist() for column in columns)))
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num).tolist()`` for num >= 2, bit for
+    bit: i * step + start with the last point set to stop, and
+    (i / (num - 1)) * (stop - start) + start where the step underflows
+    to zero (numpy gh-5437).  An overflowing stop - start gives NaN or
+    inf points, as numpy does, but without its warning."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
 
 def cmd_compare(args: argparse.Namespace, params: PTParameters):
     if args.method is None:
         raise InvalidParameterError("compare requires --method")
     approximate = _APPROXIMATIONS[args.method](params)
-    n = spectra.level_range(args.n_max)
-    exact = spectra.levels(params, n).energy_total
-    approx = np.array([approximate(k) for k in n.tolist()])
-    abs_err = np.abs(exact - approx)
-    table = [n, exact, approx, abs_err, abs_err / np.abs(exact)]
+    check_count("n_max", args.n_max, 1, spectra.MAX_TABLE_LEVELS)
+    n = range(1, args.n_max + 1)
+    # compare prints no pressure, so only the energies are checked
+    scales, inv_l = derive_scales(params), 1.0 / params.half_width
+    exact = [spectra._closed_forms(scales, inv_l, float(k))[2] for k in n]  # E_total
+    for k, energy in zip(n, exact):
+        check_finite("energy", k, energy)
+    approx = [float(approximate(k)) for k in n]
+    abs_err = [abs(e - a) for e, a in zip(exact, approx)]
+    table = [n, exact, approx, abs_err, [err / abs(e) for err, e in zip(abs_err, exact)]]
     columns = _COMPARE_COLUMNS
     if args.method == "semiclassical":
         qc_energy_numeric = _module("semiclassical").qc_energy_numeric
-        table.append([qc_energy_numeric(params, k) for k in n.tolist()])
+        table.append([float(qc_energy_numeric(params, k)) for k in n])
         columns += ("E_qc_numeric",)
-    return EXIT_OK, {"method": args.method}, columns, _rows(*table)
+    return EXIT_OK, {"method": args.method}, columns, list(zip(*table))
 
 
 def cmd_validate(args: argparse.Namespace, params: PTParameters):
@@ -312,6 +339,8 @@ def cmd_validate(args: argparse.Namespace, params: PTParameters):
         raise InvalidParameterError(
             f"--tolerance must be positive and finite, got {args.tolerance!r}"
         )
+    import numpy as np
+
     oracle = _module("oracle")
     grid = oracle.GridSpec(
         interior_points=args.grid_n, richardson_levels=3, level_count=args.levels
@@ -336,8 +365,9 @@ def cmd_validate(args: argparse.Namespace, params: PTParameters):
                   and np.all(pressure_err <= _PRESSURE_TOLERANCE))
     meta = {"passed": passed, "tolerance_energy": args.tolerance,
             "tolerance_pressure": _PRESSURE_TOLERANCE}
-    rows = _rows(closed.n, closed.energy_total, numeric_energy, energy_err,
-                 closed.pressure_total, numeric_pressure, pressure_err)
+    columns = (closed.n, closed.energy_total, numeric_energy, energy_err,
+               closed.pressure_total, numeric_pressure, pressure_err)
+    rows = list(zip(*(column.tolist() for column in columns)))
     return EXIT_OK if passed else EXIT_TOLERANCE, meta, _VALIDATE_COLUMNS, rows
 
 

@@ -25,10 +25,9 @@ oscillator-like from box-like behaviour).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, InvalidParameterError
 
@@ -92,15 +91,18 @@ def check_count(name: str, value, low: int, high: float = math.inf) -> None:
     """Raise :class:`InvalidParameterError` unless ``value``, the count
     ``name``, is a Python or numpy integer in [low, high]; a bool or a
     float equal to one is rejected."""
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    # numpy registers its integer types as numbers.Integral
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integer and low <= value <= high):
         raise InvalidParameterError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
 
 
-def check_level(n) -> np.ndarray:
-    """Return ``n``, one int or an int array, as an array; reject any
-    quantum number that is not an integer in [1, 2**64) (booleans
+def check_level(n):
+    """Return ``n``, one int or an int array, as a numpy array; reject
+    any quantum number that is not an integer in [1, 2**64) (booleans
     included)."""
+    import numpy as np
+
     array = np.asarray(n)
     if array.dtype.kind not in "iu" or (array < 1).any():
         raise InvalidParameterError(f"quantum number must be an integer in [1, 2**64), got {n!r}")
@@ -109,8 +111,7 @@ def check_level(n) -> np.ndarray:
 
 def check_single_level(n) -> None:
     """:func:`check_level` for the functions of one level: an int array
-    is rejected too.  A Python int in range is accepted before numpy's
-    dispatch on 0-d arrays, the most of this check's cost."""
+    is rejected too.  A Python int in range is accepted without numpy."""
     if type(n) is int and 1 <= n < 2**64:
         return
     if check_level(n).ndim:
@@ -182,6 +183,8 @@ def potential(params: PTParameters, x):
     where the potential is singular, or is NaN, and if any value
     overflows.
     """
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) < params.half_width):
         raise DomainError(

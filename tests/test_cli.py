@@ -2,9 +2,13 @@ import csv
 import io
 import json
 import math
+import struct
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ptoscillator import (
     GridSpec,
@@ -273,6 +277,50 @@ class TestSweep:
         )
         assert code == 3
 
+    # --to - --from overflows: the first point is NaN, as in np.linspace,
+    # which also warned "overflow encountered in subtract"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "var, fixed, message",
+        [
+            ("half-width", ["--well-depth", "1"], "half_width must be positive and finite"),
+            ("well-depth", ["--half-width", "1"], "well_depth must be finite and >= 0"),
+        ],
+        ids=["half-width", "well-depth"],
+    )
+    def test_overflowing_range_is_domain_error_without_warning(
+        self, capsys, var, fixed, message
+    ):
+        code = cli.main(
+            ["sweep", "--sweep-var", var, "--from=-1e308", "--to=1e308", "--steps", "3", *fixed]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: {message}, got nan\n"
+
+    # the sweep's points are np.linspace's, built without numpy
+    @given(
+        ends=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2,
+                      unique=True).map(sorted),
+        steps=st.integers(2, 50),
+    )
+    # the step underflows to zero, so the points are (i / div) * delta
+    @example(ends=[0.0, 5e-323], steps=7)
+    @example(ends=[-5e-324, 5e-324], steps=5)
+    @example(ends=[1.0, 1.0000000000000004], steps=9)
+    # stop - start overflows: NaN, inf, then stop
+    @example(ends=[-1e308, 1e308], steps=3)
+    @settings(max_examples=300, deadline=None)
+    def test_points_are_numpys_linspace(self, ends, steps):
+        start, stop = ends
+        if start == stop:  # 0.0 and -0.0
+            return
+        with np.errstate(all="ignore"):
+            expected = np.linspace(start, stop, steps).tolist()
+        bits = lambda values: [struct.pack("<d", value) for value in values]
+        assert bits(cli._linspace(start, stop, steps)) == bits(expected)
+
 
 class TestFloatRangeGuard:
     @pytest.mark.parametrize(
@@ -411,6 +459,29 @@ class TestCompare:
     def test_method_required(self, capsys):
         code, _ = run_cli(capsys, ["compare", *UNIT_WELL_FLAGS])
         assert code == 3
+
+    # compare prints no pressure, so a pressure that leaves the float range
+    # (here inf - inf for level 1) stops spectrum but not compare
+    @pytest.mark.filterwarnings("error")
+    def test_only_the_energies_are_checked(self, capsys):
+        flags = ["--mass", "1.4211902915678489e25", "--well-depth", "6.096e217",
+                 "--half-width", "1.766e-97", "--hbar", "2.195e31"]
+        code = cli.main(["compare", *flags, "--method", "fp-limit", "--n-max", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        params = PTParameters(1.4211902915678489e25, 6.096e217, 1.766e-97, 2.195e31)
+        expansion = limits.fp_limit_expansion(params, order=2)
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert [float(row[2]) for row in rows] == [
+            float(cli._fmt(expansion.energy(n))) for n in (1, 2, 3)
+        ]
+        assert all(math.isfinite(float(row[1])) for row in rows)
+        code = cli.main(["spectrum", *flags, "--n-max", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err == (
+            "error: pressure of level 1 leaves the floating-point range (total nan)\n"
+        )
 
     @pytest.mark.parametrize("n_max", ["0", "1000001"])
     def test_out_of_range_n_max_is_precondition_error(self, capsys, n_max):

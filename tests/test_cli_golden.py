@@ -1,9 +1,10 @@
 """Golden stdout: exact bytes and exit codes of a fixed matrix of CLI runs.
 
 Each case's stdout is stored in ``tests/golden/<case>.<format>``.  The
-matrix leaves out ``validate`` and ``compare --method semiclassical``,
-whose last printed digits depend on the LAPACK build and on numpy's
-transcendental functions.
+matrix leaves out ``validate``, whose last printed digits depend on the
+LAPACK build.  The semiclassical comparison's numeric column depends on
+numpy's transcendental functions; on the unit well it is taken where the
+quadrature's root agrees with the closed form to every printed digit.
 
 The CLI run as a program, ``python -m ptoscillator.cli``, switches the
 cyclic collector off and freezes what is left before exit; it must print
@@ -46,6 +47,7 @@ CASES = {
     "compare_fp_limit": ["compare", *SHALLOW, "--method", "fp-limit", "--n-max", "6"],
     "compare_ho_limit": ["compare", *WIDE, "--method", "ho-limit", "--n-max", "6"],
     "compare_perturbation": ["compare", *WIDE, "--method", "perturbation", "--n-max", "6"],
+    "compare_semiclassical": ["compare", *UNIT, "--method", "semiclassical", "--n-max", "6"],
     "spectrum_config": ["spectrum", "--config", str(GOLDEN / "unit.cfg"), "--n-max", "4"],
 }
 

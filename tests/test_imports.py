@@ -8,8 +8,11 @@ in the subcommand or method that runs them, so ``spectrum`` and
 inside the oracle functions that call its eigensolver, so the
 closed-form subcommands and the Bohr-Sommerfeld comparison never pay
 for its import, and the oracle loads scipy's LAPACK extension without
-the scipy.linalg package.  Each probe runs in a fresh interpreter,
-because this process has loaded every module already.
+the scipy.linalg package.  Nor do ``spectrum``, ``sweep`` and the
+``compare`` methods other than the semiclassical one load numpy, and
+neither do one level and a spectrum table called in process.  Each
+probe runs in a fresh interpreter, because this process has loaded
+every module already.
 
 The program's entry also leaves the cyclic collector off and the heap
 frozen for exit; a caller of ``cli.main`` keeps its collector as it was.
@@ -79,42 +82,45 @@ def probe(calls: list[list[str]]) -> list[tuple[int, list[str]]]:
     return [tuple(entry) for entry in run_probe(PROBE, json.dumps(calls))]
 
 
-# Runs one argv through cli.main and prints the exit code and the package
-# modules loaded.
+# Runs one argv through cli.main and prints the exit code, the package
+# modules loaded and whether numpy is among the modules loaded.
 MODULES = """
 import contextlib, io, json, sys
 from ptoscillator import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("ptoscillator."))]))
+modules = sorted(m for m in sys.modules if m.startswith("ptoscillator."))
+print(json.dumps([code, modules, "numpy" in sys.modules]))
 """
 
 # what every subcommand loads: the closed forms and their checks
 BASE = ["ptoscillator.cli", "ptoscillator.errors", "ptoscillator.parameters", "ptoscillator.spectra"]
 
 
+# numpy is loaded only by the action quadrature and the oracle
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, extra, numpy",
     [
-        (["spectrum", *UNIT, "--n-max", "5"], []),
+        (["spectrum", *UNIT, "--n-max", "5"], [], False),
         (["sweep", *UNIT, "--sweep-var", "well-depth", "--from", "0", "--to", "2", "--steps", "3"],
-         []),
+         [], False),
         (["sweep", "--well-depth", "0.5", "--sweep-var", "half-width", "--from", "1", "--to", "2",
-          "--steps", "3"], []),
-        (["compare", *SHALLOW, "--method", "fp-limit", "--n-max", "3"], ["limits"]),
-        (["compare", *WIDE, "--method", "ho-limit", "--n-max", "3"], ["limits"]),
-        (["compare", *UNIT, "--method", "semiclassical", "--n-max", "3"], ["semiclassical"]),
-        (["compare", *WIDE, "--method", "perturbation", "--n-max", "3"], ["perturbation"]),
+          "--steps", "3"], [], False),
+        (["compare", *SHALLOW, "--method", "fp-limit", "--n-max", "3"], ["limits"], False),
+        (["compare", *WIDE, "--method", "ho-limit", "--n-max", "3"], ["limits"], False),
+        (["compare", *UNIT, "--method", "semiclassical", "--n-max", "3"], ["semiclassical"],
+         True),
+        (["compare", *WIDE, "--method", "perturbation", "--n-max", "3"], ["perturbation"], False),
         # the oracle places its levels with the Bohr-Sommerfeld root
         (["validate", *UNIT, "--grid-n", "200", "--levels", "2", "--tolerance", "1"],
-         ["oracle", "semiclassical"]),
+         ["oracle", "semiclassical"], True),
     ],
     ids=["spectrum", "sweep-depth", "sweep-width", "fp-limit", "ho-limit", "semiclassical",
          "perturbation", "validate"],
 )
-def test_each_call_loads_only_its_own_modules(argv, extra):
+def test_each_call_loads_only_its_own_modules(argv, extra, numpy):
     expected = sorted([*BASE, *(f"ptoscillator.{name}" for name in extra)])
-    assert run_probe(MODULES, json.dumps(argv)) == [0, expected]
+    assert run_probe(MODULES, json.dumps(argv)) == [0, expected, numpy]
 
 
 # Imports the package, then reads one exported name.
@@ -134,6 +140,23 @@ def test_bare_import_loads_no_numpy():
     assert after == [
         "ptoscillator", "ptoscillator.errors", "ptoscillator.parameters", "ptoscillator.spectra"
     ]
+
+
+# One level, then a table, in process.
+LIBRARY = """
+import json, sys
+from ptoscillator import PTParameters, levels, spectrum_table
+params = PTParameters(1.0, 0.375, 1.5707963267948966)
+loaded = []
+for call in (lambda: levels(params, 3), lambda: spectrum_table(params, 10)):
+    call()
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_one_level_and_a_table_load_no_numpy():
+    assert run_probe(LIBRARY) == [False, False]
 
 
 def test_closed_form_subcommands_never_load_scipy():

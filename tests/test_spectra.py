@@ -78,6 +78,57 @@ def _bits(value):
     return struct.pack("<d", value) if isinstance(value, float) else value
 
 
+def _outcome(params: PTParameters, n):
+    """The bits and types of levels(params, n), or the error it raises."""
+    try:
+        columns = levels(params, n)
+    except PTOscillatorError as exc:
+        return type(exc), str(exc)
+    rows = zip(*(column.tolist() for column in columns)) if np.ndim(n) else [columns]
+    return [[(type(value), _bits(value)) for value in row] for row in rows]
+
+
+class TestScalarAndArrayPaths:
+    # One level is evaluated in Python floats and an array of levels in
+    # numpy; the two run the same arithmetic and must agree bit for bit,
+    # in types, labels and errors, up to the first failing level.
+    @given(
+        mass=log_uniform,
+        depth=st.one_of(st.just(0.0), log_uniform),
+        half_width=log_uniform,
+        hbar=log_uniform,
+        n_max=st.integers(1, 300),
+    )
+    # the box, where eta's denominator is zero
+    @example(mass=1.0, depth=0.0, half_width=1.0, hbar=1.0, n_max=20)
+    # lambda = 5e-324: lambda (n - 1/2) underflows to zero at n = 1
+    @example(mass=1.0, depth=1e-323, half_width=1.0, hbar=math.sqrt(32.0) / math.pi, n_max=5)
+    # a subnormal lambda of 1.6e-308 whose eta is finite for n = 1 and 2
+    @example(mass=1.0, depth=1e-308, half_width=1.0, hbar=1.0, n_max=5)
+    # (1/L) T underflows, so the wall term is multiplied in another order
+    @example(
+        mass=2.245375004865126e164,
+        depth=5.845138798837301e-161,
+        half_width=2.6262229248788474e98,
+        hbar=8.058064713421376e60,
+        n_max=3,
+    )
+    # T = 1.2e304: the energy of level 121 overflows first at L = 4, and
+    # the pressure of level 86 at L = 1
+    @example(mass=1.0, depth=0.0, half_width=4.0, hbar=4e152, n_max=300)
+    @example(mass=1.0, depth=0.0, half_width=1.0, hbar=1e152, n_max=300)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_level_is_the_array_row(self, mass, depth, half_width, hbar, n_max):
+        params = PTParameters(mass, depth, half_width, hbar)
+        array = _outcome(params, np.arange(1, n_max + 1))
+        scalars = [_outcome(params, n) for n in range(1, n_max + 1)]
+        if isinstance(array, list):
+            assert [row for [row] in scalars] == array
+        else:
+            # the error that names the array's first failing level
+            assert next(s for s in scalars if not isinstance(s, list)) == array
+
+
 def _loop_level(params: PTParameters, n: int) -> tuple:
     """The closed forms in Python floats, one level at a time, with the
     kernel's order of operations: the reference it must match exactly."""
